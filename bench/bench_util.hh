@@ -55,7 +55,7 @@ traceScale(int argc, char **argv, double fallback = 1.0)
 
 /**
  * Resolve the suite worker count from argv/environment.
- * 0 = hardware concurrency, 1 = legacy serial path.
+ * 0 = hardware concurrency, 1 = a single worker.
  */
 inline unsigned
 threadCount(int argc, char **argv, unsigned fallback = 0)
@@ -75,6 +75,19 @@ threadCount(int argc, char **argv, unsigned fallback = 0)
     return static_cast<unsigned>(std::min(value, 1024L));
 }
 
+/** Reject an unknown flag: print the usage line and exit(2). */
+[[noreturn]] inline void
+badArgument(const char *program, const std::string &arg)
+{
+    std::fprintf(stderr,
+                 "%s: unknown option '%s'\n"
+                 "usage: %s [scale] [threads] [--checkpoint=<path>] "
+                 "[--checkpoint-every=<n>] [--resume] "
+                 "[--timeline=<path>] [--timeline-interval=<n>]\n",
+                 program, arg.c_str(), program);
+    std::exit(2);
+}
+
 /**
  * Build SuiteOptions from the standard bench argv conventions.
  *
@@ -82,16 +95,11 @@ threadCount(int argc, char **argv, unsigned fallback = 0)
  * Checkpoint/resume is controlled by flags (anywhere on the command
  * line) with environment fallbacks:
  *   --checkpoint=<path>      (IBP_CHECKPOINT)    progress-file path
- *   --checkpoint-every=<n>   (IBP_CHECKPOINT_EVERY)  mid-cell cadence
+ *   --checkpoint-every=<n>   (IBP_CHECKPOINT_EVERY)  mid-row cadence
  *   --resume                 (IBP_RESUME=1)      resume from the file
  * An interrupted run restarted with the same path and --resume skips
  * every finished cell and produces a report that `report_tool --diff`
  * finds identical to an uninterrupted run's.
- *
- * One-pass replay (generate/decode each trace once, feed every
- * predictor column from the shared records — bit-identical, usually
- * faster) is enabled by:
- *   --one-pass               (IBP_ONE_PASS=1)
  *
  * Timeline tracing (see obs/timeline.hh):
  *   --timeline=<path>        (IBP_TIMELINE)  export a Perfetto trace
@@ -103,6 +111,9 @@ threadCount(int argc, char **argv, unsigned fallback = 0)
  * record-count boundaries the replay already honours (span-size
  * invariance) — it only adds the timeline section to the run report
  * and, with a path, the exported trace.
+ *
+ * Any other argument starting with "--" is a typo, not a positional:
+ * it prints the usage line and exits with status 2.
  */
 inline ibp::sim::SuiteOptions
 suiteOptions(int argc, char **argv, double scale_fallback = 1.0)
@@ -115,8 +126,6 @@ suiteOptions(int argc, char **argv, double scale_fallback = 1.0)
         options.checkpointEvery = std::strtoull(env, nullptr, 10);
     if (const char *env = std::getenv("IBP_RESUME"))
         options.resume = std::string(env) != "0";
-    if (const char *env = std::getenv("IBP_ONE_PASS"))
-        options.onePass = std::string(env) != "0";
     if (const char *env = std::getenv("IBP_TIMELINE"))
         timelineTracePath() = env;
     if (const char *env = std::getenv("IBP_TIMELINE_INTERVAL"))
@@ -137,8 +146,6 @@ suiteOptions(int argc, char **argv, double scale_fallback = 1.0)
                 nullptr, 10);
         else if (arg == "--resume")
             options.resume = true;
-        else if (arg == "--one-pass")
-            options.onePass = true;
         else if (arg.rfind("--timeline=", 0) == 0)
             timelineTracePath() =
                 arg.substr(std::string("--timeline=").size());
@@ -146,6 +153,8 @@ suiteOptions(int argc, char **argv, double scale_fallback = 1.0)
             options.engine.timeline.interval = std::strtoull(
                 arg.c_str() + std::string("--timeline-interval=").size(),
                 nullptr, 10);
+        else if (arg.rfind("--", 0) == 0)
+            badArgument(argc > 0 ? argv[0] : "bench", arg);
         else
             positional.push_back(argv[i]);
     }

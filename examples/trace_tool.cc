@@ -13,7 +13,7 @@
  *
  * `suite` replays the full benchmark x predictor matrix through the
  * suite runner; threads = 0 (default) uses hardware concurrency and
- * 1 forces the legacy serial path.  The matrix is bit-identical for
+ * 1 runs a single worker.  The matrix is bit-identical for
  * every thread count — only the wall-clock footer changes.
  *
  * Trace files in the binary format start with the "IBPT" magic;

@@ -57,14 +57,6 @@ class FilteredPpm final : public pred::IndirectPredictor
         return predicted;
     }
 
-    /** Replay lookahead: prefetch the filter set for an upcoming
-     *  @p pc (the PPM stack hashes on history unknown this early). */
-    void
-    prefetchFor(trace::Addr pc) const
-    {
-        filter_.prefetchSet(filterSet(pc));
-    }
-
     void observe(const trace::BranchRecord &record) override;
     std::uint64_t storageBits() const override;
     void reset() override;

@@ -8,12 +8,12 @@
  * cadence is a *record count*, never a wall clock, so a timeline is a
  * pure function of (trace, predictor, interval): bit-identical across
  * thread counts, chunk sizes, reruns, and checkpoint/resume — the same
- * discipline that makes the one-pass suite mode exact.  Wall-clock
+ * discipline that makes one-pass suite replay exact.  Wall-clock
  * spans exist too, but they live in the trace-event log
  * (obs/trace_event.hh) and never feed a gating comparison.
  *
  * The write side is a TimelineSampler owned by the replay machinery
- * (sim::ReplaySession / sim::SpanDriver); this layer never sees
+ * (sim::ReplaySession); this layer never sees
  * simulator types — samples arrive as plain cumulative counts, keeping
  * the obs < sim layering intact.  A disabled sampler (interval 0) is a
  * single predictable branch on the replay path: the probe zero-cost

@@ -72,15 +72,6 @@ class Cascade final : public IndirectPredictor
         return predicted;
     }
 
-    /** Replay lookahead: prefetch the filter set and the main
-     *  predictor's lines for an upcoming @p pc. */
-    void
-    prefetchFor(trace::Addr pc) const
-    {
-        filter_.prefetchSet(filterSet(pc));
-        main_.prefetchFor(pc);
-    }
-
     void observe(const trace::BranchRecord &record) override;
     void snapshotProbes(obs::ProbeRegistry &registry) const override;
     std::uint64_t storageBits() const override;

@@ -133,15 +133,6 @@ PathComponent::update(trace::Addr target, bool allocate)
 }
 
 void
-PathComponent::prefetch(trace::Addr pc) const
-{
-    if (!config_.tagged)
-        direct_.prefetchEntry(direct_.reduce(indexHash(pc)));
-    else
-        assoc_.prefetchSet(assoc_.reduce(indexHash(pc)));
-}
-
-void
 PathComponent::observe(const trace::BranchRecord &record)
 {
     history_.observe(record);

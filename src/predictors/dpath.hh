@@ -59,11 +59,6 @@ class PathComponent
      */
     void update(trace::Addr target, bool allocate);
 
-    /** Pull the table line @p pc's next access will touch into cache
-     *  (replay lookahead; no architectural effect).  Exact when the
-     *  path history already reflects every record before @p pc. */
-    void prefetch(trace::Addr pc) const;
-
     void observe(const trace::BranchRecord &record);
     std::uint64_t storageBits() const;
     void reset();
@@ -131,16 +126,6 @@ class Dpath final : public IndirectPredictor
         const Prediction predicted = Dpath::predict(pc);
         Dpath::update(pc, target);
         return predicted;
-    }
-
-    /** Replay lookahead: prefetch both components' lines and the
-     *  selector row for an upcoming @p pc. */
-    void
-    prefetchFor(trace::Addr pc) const
-    {
-        short_.prefetch(pc);
-        long_.prefetch(pc);
-        selector_.prefetchEntry(selector_.reduce(pc >> 2));
     }
 
     void observe(const trace::BranchRecord &record) override;

@@ -323,16 +323,23 @@ encodeSuiteProgress(const SuiteProgress &progress)
         writer.endSection();
     }
 
-    if (progress.partial.valid) {
+    // Each section is a self-contained cell snapshot, so a reader that
+    // keeps only one of them still resumes that cell correctly.
+    auto write_partial = [&writer](const PartialCell &partial) {
         writer.beginSection("partial");
-        writer.writeString(progress.partial.row);
-        writer.writeString(progress.partial.col);
-        writer.writeU64(progress.partial.cursor);
-        writeBlob(writer, progress.partial.predictorState);
-        writeBlob(writer, progress.partial.engineState);
-        writeBlob(writer, progress.partial.probeState);
+        writer.writeString(partial.row);
+        writer.writeString(partial.col);
+        writer.writeU64(partial.cursor);
+        writeBlob(writer, partial.predictorState);
+        writeBlob(writer, partial.engineState);
+        writeBlob(writer, partial.probeState);
         writer.endSection();
-    }
+    };
+    for (const auto &partial : progress.partials)
+        if (partial.valid)
+            write_partial(partial);
+    if (progress.partial.valid)
+        write_partial(progress.partial);
     return writer.bytes();
 }
 
@@ -375,16 +382,18 @@ decodeSuiteProgress(const std::vector<std::uint8_t> &bytes,
                 return status;
             progress.cells.push_back(std::move(cell));
         } else if (name == "partial") {
-            progress.partial.row = payload.readString();
-            progress.partial.col = payload.readString();
-            progress.partial.cursor = payload.readU64();
-            progress.partial.predictorState = payload.readString();
-            progress.partial.engineState = payload.readString();
-            progress.partial.probeState = payload.readString();
+            PartialCell partial;
+            partial.row = payload.readString();
+            partial.col = payload.readString();
+            partial.cursor = payload.readU64();
+            partial.predictorState = payload.readString();
+            partial.engineState = payload.readString();
+            partial.probeState = payload.readString();
             if (util::Status status = closePayload(payload, "partial");
                 !status.ok())
                 return status;
-            progress.partial.valid = true;
+            partial.valid = true;
+            progress.partials.push_back(std::move(partial));
         }
     }
     if (!reader.ok())

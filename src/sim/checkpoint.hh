@@ -14,9 +14,9 @@
  *
  *  - "suite": a suite runner's progress file — the fingerprint of the
  *    exact matrix being computed, every completed cell (results plus
- *    its probe registry), and at most one in-flight cell's mid-replay
- *    snapshot.  An interrupted bench run restarted with resume=true
- *    skips completed cells and continues the partial one, producing a
+ *    its probe registry), and a mid-replay snapshot of every in-flight
+ *    cell.  An interrupted bench run restarted with resume=true skips
+ *    completed cells and continues the partial ones, producing a
  *    report identical (up to timing) to an uninterrupted run.
  *
  * Checkpoint files are untrusted input: every decode path returns a
@@ -125,10 +125,10 @@ struct CompletedCell
 };
 
 /**
- * A mid-replay snapshot of the one cell in flight when the progress
- * file was last written (serial runner only).  The three state blobs
- * are opaque here; the runner feeds them back through loadState /
- * loadProbes on objects it builds itself.
+ * A mid-replay snapshot of one cell in flight when the progress file
+ * was last written.  The three state blobs are opaque here; the runner
+ * feeds them back through loadState / loadProbes on objects it builds
+ * itself.
  */
 struct PartialCell
 {
@@ -162,6 +162,14 @@ struct SuiteProgress
 {
     std::string fingerprint; ///< must match suiteFingerprint() to resume
     std::vector<CompletedCell> cells;
+    /** Every in-flight cell's latest snapshot, one "partial" section
+     *  each; the decoder collects every such section here. */
+    std::vector<PartialCell> partials;
+    /**
+     * Encode-only compatibility slot for writers that hold a single
+     * in-flight cell: written as one more "partial" section when
+     * valid, decoded into partials like the rest (never back here).
+     */
     PartialCell partial;
 
     /** Completed-cell lookup; nullptr when (row, col) isn't recorded. */

@@ -14,28 +14,28 @@ namespace {
 
 /**
  * The per-span replay loop, templated on the concrete predictor type.
- * For the hot predictor classes (final types dispatched below) the
- * compiler devirtualizes and inlines predictAndUpdate()/observe()
- * straight into the loop; instantiated with the base class it degrades
- * to exactly one virtual call per predicted branch and one per
- * observed record.  Either way the per-record protocol — predict ->
- * update -> observe, in trace order — is the same code, so metrics are
- * bit-identical across instantiations *and* across span sizes: no
- * state outlives a record beyond the RAS, metrics and predictor, so
- * chunking a trace differently cannot change a simulated number.
- *
- * Predictors exposing prefetchFor() get replay lookahead: after record
- * b completes (post-observe), the table lines record b+distance will
- * touch are prefetched.  At distance 1 the hint is exact — the history
- * registers already hold the state the upcoming predict will hash.
+ * For the hot predictor classes (see withConcreteType()) the compiler
+ * devirtualizes and inlines predictAndUpdate()/observe() straight into
+ * the loop; instantiated with the base class it degrades to exactly
+ * one virtual call per predicted branch and one per observed record.
+ * Either way the per-record protocol — predict -> update -> observe,
+ * in trace order — is the same code, so metrics are bit-identical
+ * across instantiations *and* across span sizes: no state outlives a
+ * record beyond the RAS, metrics and predictor, so chunking a trace
+ * differently cannot change a simulated number.
  */
 template <typename Predictor>
 inline void
 replaySpan(const trace::BranchRecord *span, std::size_t n,
-           bool use_ras, bool per_site, bool observes,
-           std::size_t prefetch_distance, Predictor &predictor,
+           const EngineConfig &config, Predictor &predictor,
            pred::ReturnAddressStack &ras, RunMetrics &metrics)
 {
+    // Loop-invariant configuration and the predictor's observe()
+    // interest are hoisted out of the hot loop.
+    const bool use_ras = config.useRas;
+    const bool per_site = config.perSiteStats;
+    const bool observes = predictor.wantsObserve();
+
     metrics.branches += n;
     for (std::size_t b = 0; b < n; ++b) {
         const trace::BranchRecord &record = span[b];
@@ -65,92 +65,26 @@ replaySpan(const trace::BranchRecord *span, std::size_t n,
 
         if (observes)
             predictor.observe(record);
-
-        if constexpr (requires(const Predictor &p, trace::Addr a) {
-                          p.prefetchFor(a);
-                      }) {
-            const std::size_t ahead = b + prefetch_distance;
-            if (prefetch_distance != 0 && ahead < n &&
-                span[ahead].isPredictedIndirect())
-                predictor.prefetchFor(span[ahead].pc);
-        }
     }
 }
 
 /**
- * The batched replay driver: pulls spans (or bounded batches) from the
- * source and runs each through replaySpan().
- *
- * @p limit bounds the records consumed (ReplaySession::kNoLimit = run
- * to exhaustion).  The unbounded case keeps the zero-copy nextSpan()
- * fast path; a bounded run clamps nextBatch() instead, because a span
- * consumes the whole remainder and cannot stop at a record boundary.
- * @return records consumed.
+ * Type-switch devirtualization, the one list of hot concrete
+ * predictors: calls @p fn with @p predictor cast to the first listed
+ * type it is (one dynamic_cast each, per span — not per record), or
+ * with the base class for anything else (composite predictors, test
+ * doubles), which takes the generic virtual loop with identical
+ * semantics.
  */
-template <typename Predictor>
-std::uint64_t
-replay(const EngineConfig &config, trace::BranchSource &source,
-       Predictor &predictor, pred::ReturnAddressStack &ras,
-       RunMetrics &metrics, std::uint64_t limit)
+template <typename... Hot, typename Fn>
+void
+withConcreteType(pred::IndirectPredictor &predictor, Fn &&fn)
 {
-    // Loop-invariant configuration and the predictor's observe()
-    // interest are hoisted out of the hot loop.
-    const bool use_ras = config.useRas;
-    const bool per_site = config.perSiteStats;
-    const bool observes = predictor.wantsObserve();
-    const std::size_t prefetch_distance = config.prefetchDistance;
-    const bool unbounded = limit == ReplaySession::kNoLimit;
-
-    std::uint64_t consumed = 0;
-    trace::BranchRecord batch[Engine::kReplayBatch];
-    while (unbounded || consumed < limit) {
-        const trace::BranchRecord *span = nullptr;
-        std::size_t n = 0;
-        if (unbounded)
-            n = source.nextSpan(span);
-        if (n == 0) {
-            const std::size_t want =
-                unbounded ? Engine::kReplayBatch
-                          : static_cast<std::size_t>(std::min<
-                                std::uint64_t>(Engine::kReplayBatch,
-                                               limit - consumed));
-            n = source.nextBatch(batch, want);
-            if (n == 0)
-                break;
-            span = batch;
-        }
-        consumed += n;
-        replaySpan(span, n, use_ras, per_site, observes,
-                   prefetch_distance, predictor, ras, metrics);
-    }
-    return consumed;
-}
-
-/**
- * Type-switch devirtualization: one dynamic_cast per run (not per
- * record) routes the hottest concrete predictors into fully inlined
- * replay loops.  Anything else — composite predictors, test doubles —
- * takes the generic virtual loop with identical semantics.
- */
-std::uint64_t
-dispatchReplay(const EngineConfig &config, trace::BranchSource &source,
-               pred::IndirectPredictor &predictor,
-               pred::ReturnAddressStack &ras, RunMetrics &metrics,
-               std::uint64_t limit)
-{
-    if (auto *btb = dynamic_cast<pred::Btb *>(&predictor))
-        return replay(config, source, *btb, ras, metrics, limit);
-    if (auto *btb2b = dynamic_cast<pred::Btb2b *>(&predictor))
-        return replay(config, source, *btb2b, ras, metrics, limit);
-    if (auto *ppm = dynamic_cast<core::PpmPredictor *>(&predictor))
-        return replay(config, source, *ppm, ras, metrics, limit);
-    if (auto *dpath = dynamic_cast<pred::Dpath *>(&predictor))
-        return replay(config, source, *dpath, ras, metrics, limit);
-    if (auto *cascade = dynamic_cast<pred::Cascade *>(&predictor))
-        return replay(config, source, *cascade, ras, metrics, limit);
-    if (auto *fppm = dynamic_cast<core::FilteredPpm *>(&predictor))
-        return replay(config, source, *fppm, ras, metrics, limit);
-    return replay(config, source, predictor, ras, metrics, limit);
+    const bool hot = ((dynamic_cast<Hot *>(&predictor) != nullptr &&
+                       (fn(static_cast<Hot &>(predictor)), true)) ||
+                      ...);
+    if (!hot)
+        fn(predictor);
 }
 
 } // namespace
@@ -185,38 +119,69 @@ ReplaySession::run(trace::BranchSource &source,
                    pred::IndirectPredictor &predictor,
                    std::uint64_t limit)
 {
-    if (!sampler_.enabled())
-        return dispatchReplay(config_, source, predictor, ras_,
-                              metrics_, limit);
-
-    // Sampling run: replay in sub-limits clamped to the next window
-    // boundary.  Span-size invariance of the replay loop means the
-    // chunking changes no simulated number; boundaries are absolute
-    // record counts, so the windows are identical however the run is
-    // sliced across bounded calls or checkpoint/resume cycles.
+    // A span consumes the source's whole remainder (or its next decode
+    // ring) and cannot stop at a record boundary, so bounded runs read
+    // clamped batches instead.
     const bool unbounded = limit == kNoLimit;
     std::uint64_t consumed = 0;
-    for (;;) {
-        const std::uint64_t boundary =
-            sampler_.nextBoundary(metrics_.branches);
-        std::uint64_t want = boundary - metrics_.branches;
-        if (!unbounded)
-            want = std::min(want, limit - consumed);
-        const std::uint64_t ran = dispatchReplay(
-            config_, source, predictor, ras_, metrics_, want);
-        consumed += ran;
-        if (metrics_.branches == boundary)
-            sampleTimeline(predictor);
-        if (ran < want) {
-            // Source exhausted: close the final partial window (a
-            // no-op when the trace ended exactly on a boundary).
-            sampleTimeline(predictor);
+    trace::BranchRecord batch[trace::kReplayChunk];
+    while (consumed < limit) {
+        const trace::BranchRecord *span = nullptr;
+        std::size_t n = unbounded ? source.nextSpan(span) : 0;
+        if (n == 0) {
+            n = source.nextBatch(
+                batch, static_cast<std::size_t>(std::min<std::uint64_t>(
+                           trace::kReplayChunk, limit - consumed)));
+            span = batch;
+        }
+        if (n == 0) {
+            finish(predictor);
             break;
         }
-        if (!unbounded && consumed == limit)
-            break;
+        consumed += n;
+        feed(span, n, predictor);
     }
     return consumed;
+}
+
+void
+ReplaySession::feed(const trace::BranchRecord *span, std::size_t n,
+                    pred::IndirectPredictor &predictor)
+{
+    withConcreteType<pred::Btb, pred::Btb2b, core::PpmPredictor,
+                     pred::Dpath, pred::Cascade, core::FilteredPpm>(
+        predictor, [&](auto &concrete) {
+            if (!sampler_.enabled()) {
+                replaySpan(span, n, config_, concrete, ras_, metrics_);
+                return;
+            }
+            // Split the span at window boundaries.  Boundaries are
+            // absolute record counts, so the windows are identical
+            // however the trace is sliced into spans, bounded runs or
+            // checkpoint/resume cycles.
+            std::size_t off = 0;
+            while (off < n) {
+                const std::uint64_t boundary =
+                    sampler_.nextBoundary(metrics_.branches);
+                const auto len =
+                    static_cast<std::size_t>(std::min<std::uint64_t>(
+                        n - off, boundary - metrics_.branches));
+                replaySpan(span + off, len, config_, concrete, ras_,
+                           metrics_);
+                off += len;
+                if (metrics_.branches == boundary)
+                    sampleTimeline(predictor);
+            }
+        });
+}
+
+void
+ReplaySession::finish(const pred::IndirectPredictor &predictor)
+{
+    // A no-op when the trace ended exactly on a boundary: the sampler
+    // only closes a window holding records.
+    if (sampler_.enabled())
+        sampleTimeline(predictor);
 }
 
 void
@@ -278,102 +243,6 @@ void
 ReplaySession::loadProbes(util::StateReader &reader)
 {
     ras_.loadProbes(reader);
-}
-
-template <typename Predictor>
-void
-SpanDriver::feedAs(SpanDriver &driver, const trace::BranchRecord *span,
-                   std::size_t n)
-{
-    auto &predictor = static_cast<Predictor &>(*driver.predictor_);
-    replaySpan(span, n, driver.config_.useRas,
-               driver.config_.perSiteStats, predictor.wantsObserve(),
-               driver.config_.prefetchDistance, predictor, driver.ras_,
-               driver.metrics_);
-}
-
-SpanDriver::FeedFn
-SpanDriver::selectFeed(pred::IndirectPredictor &predictor)
-{
-    // The same type switch dispatchReplay() uses, resolved once at
-    // construction instead of once per run.
-    if (dynamic_cast<pred::Btb *>(&predictor))
-        return &feedAs<pred::Btb>;
-    if (dynamic_cast<pred::Btb2b *>(&predictor))
-        return &feedAs<pred::Btb2b>;
-    if (dynamic_cast<core::PpmPredictor *>(&predictor))
-        return &feedAs<core::PpmPredictor>;
-    if (dynamic_cast<pred::Dpath *>(&predictor))
-        return &feedAs<pred::Dpath>;
-    if (dynamic_cast<pred::Cascade *>(&predictor))
-        return &feedAs<pred::Cascade>;
-    if (dynamic_cast<core::FilteredPpm *>(&predictor))
-        return &feedAs<core::FilteredPpm>;
-    return &feedAs<pred::IndirectPredictor>;
-}
-
-SpanDriver::SpanDriver(const EngineConfig &config,
-                       pred::IndirectPredictor &predictor)
-    : config_(config), predictor_(&predictor),
-      feed_(selectFeed(predictor)), ras_(config.rasDepth),
-      sampler_(config.timeline)
-{
-}
-
-void
-SpanDriver::feed(const trace::BranchRecord *span, std::size_t n)
-{
-    if (!sampler_.enabled()) {
-        feed_(*this, span, n);
-        return;
-    }
-    // Split the span at window boundaries (absolute record counts),
-    // so one-pass timelines match the per-cell paths byte for byte
-    // regardless of the chunk size the suite feeds.
-    std::size_t off = 0;
-    while (off < n) {
-        const std::uint64_t boundary =
-            sampler_.nextBoundary(metrics_.branches);
-        const std::size_t len =
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                n - off, boundary - metrics_.branches));
-        feed_(*this, span + off, len);
-        off += len;
-        if (metrics_.branches == boundary)
-            sampleTimeline();
-    }
-}
-
-void
-SpanDriver::sampleTimeline()
-{
-    obs::TimelineSample sample;
-    sample.branches = metrics_.branches;
-    sample.predictions = metrics_.mtIndirect;
-    sample.misses = metrics_.indirectMisses.events();
-    sample.noPredictions = metrics_.noPrediction.events();
-    if (!sampler_.config().sampleProbes) {
-        sampler_.sample(sample, nullptr);
-        return;
-    }
-    obs::ProbeRegistry probes;
-    snapshotProbes(probes);
-    sampler_.sample(sample, &probes);
-}
-
-void
-SpanDriver::finishTimeline()
-{
-    if (sampler_.enabled())
-        sampleTimeline();
-}
-
-void
-SpanDriver::snapshotProbes(obs::ProbeRegistry &registry) const
-{
-    registry.counter("ras/overflows", ras_.overflows());
-    registry.counter("ras/underflows", ras_.underflows());
-    predictor_->snapshotProbes(registry);
 }
 
 } // namespace ibp::sim

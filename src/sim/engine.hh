@@ -34,22 +34,6 @@ struct EngineConfig
     bool perSiteStats = false; ///< collect the per-site breakdown
 
     /**
-     * Replay lookahead: while processing record b of a span, prefetch
-     * the table lines record b+distance will touch (predictors opting
-     * in via prefetchFor()).  0 disables.  Purely a cache hint — no
-     * simulated number changes at any distance; distance 1 is exact
-     * (issued after observe(), when the history registers already
-     * match the upcoming predict's view).
-     *
-     * Off by default: at paper-scale geometries every table is
-     * cache-resident and the hint recomputes the index hash, which
-     * measured as a 15-25% *loss* on Dpath/Cascade (see
-     * EXPERIMENTS.md).  The knob exists for scaled-up sweeps
-     * (--scale well past 1) whose tables outgrow the cache.
-     */
-    std::size_t prefetchDistance = 0;
-
-    /**
      * Windowed timeline sampling (see obs/timeline.hh).  Disabled by
      * default; when enabled, the replay stops at every interval-th
      * record to close a timeline window — same records, same
@@ -59,22 +43,14 @@ struct EngineConfig
     obs::TimelineConfig timeline;
 };
 
-/** The trace-driven engine. */
+/** The trace-driven engine: one whole-trace ReplaySession run. */
 class Engine
 {
   public:
-    /** Records fetched per BranchSource::nextBatch() call in run().
-     *  Sized to keep the working batch inside L1 while amortizing the
-     *  per-batch virtual call to nothing. */
-    static constexpr std::size_t kReplayBatch = 256;
-
     explicit Engine(const EngineConfig &config = {});
 
     /**
-     * Run @p predictor over @p source until exhaustion.  Replays in
-     * nextBatch() batches; the per-record protocol (predict -> update
-     * -> observe) and every resulting metric are identical to a
-     * record-at-a-time loop.
+     * Run @p predictor over @p source until exhaustion.
      * @param probes when non-null, receives the RAS and predictor
      *        probe snapshots after the replay (cold path; never read
      *        during it)
@@ -92,17 +68,18 @@ class Engine
 };
 
 /**
- * A resumable replay: the engine state that persists across batches —
- * the RAS and the accumulated metrics — held as an object instead of
- * on Engine::run()'s stack, so a replay can stop between records,
+ * The replay core: the engine state that persists across spans — the
+ * RAS, the accumulated metrics and the timeline sampler — held as an
+ * object, so a replay can be fed in pieces, stop between records,
  * serialize itself, and continue (possibly in a different process).
  *
- * Running a session to exhaustion in one run() call replays exactly
- * the code path Engine::run() uses, so metrics are bit-identical;
- * bounded calls trade the zero-copy span path for clamped batches but
- * follow the same per-record protocol.  Checkpoints must land between
- * full records — run() never stops mid-record — which is what makes
- * the predictors' transient predict->update slots serializable.
+ * Every replay goes through feed(), which dispatches once per span to
+ * a loop templated on the concrete predictor type.  Feeding a trace in
+ * spans of any size is bit-identical to feeding it whole: the loop
+ * carries no cross-span state beyond the RAS, metrics and predictor.
+ * Checkpoints land between full records — nothing stops mid-record —
+ * which is what makes the predictors' transient predict->update slots
+ * serializable.
  */
 class ReplaySession
 {
@@ -115,13 +92,28 @@ class ReplaySession
     /**
      * Replay up to @p limit records from @p source (kNoLimit = until
      * exhaustion) with @p predictor, accumulating into this session's
-     * metrics.
+     * metrics.  Unbounded runs read zero-copy spans; bounded runs read
+     * batches clamped to the limit.  Reaching the end of the source
+     * calls finish().
      * @return records consumed by this call; less than @p limit means
      *         the source is exhausted.
      */
     std::uint64_t run(trace::BranchSource &source,
                       pred::IndirectPredictor &predictor,
                       std::uint64_t limit = kNoLimit);
+
+    /**
+     * Replay @p n records through @p predictor, closing a timeline
+     * window at every sampling boundary inside the span.
+     */
+    void feed(const trace::BranchRecord *span, std::size_t n,
+              pred::IndirectPredictor &predictor);
+
+    /**
+     * Close the final partial timeline window once the trace is done
+     * (a no-op when sampling is off or nothing is pending).
+     */
+    void finish(const pred::IndirectPredictor &predictor);
 
     /** Metrics accumulated so far. */
     const RunMetrics &metrics() const { return metrics_; }
@@ -132,8 +124,7 @@ class ReplaySession
 
     /**
      * The timeline sampled so far (empty when the config disables
-     * sampling).  run() closes the final partial window when the
-     * source is exhausted, so after a run to exhaustion this is the
+     * sampling).  After a run to exhaustion, or finish(), this is the
      * complete series.
      */
     const obs::Timeline &timeline() const
@@ -163,69 +154,6 @@ class ReplaySession
     void sampleTimeline(const pred::IndirectPredictor &predictor);
 
     EngineConfig config_;
-    pred::ReturnAddressStack ras_;
-    RunMetrics metrics_;
-    obs::TimelineSampler sampler_;
-};
-
-/**
- * A per-predictor replay cursor for one-pass-many-predictors suite
- * runs: the suite decodes each trace span once and feeds it to every
- * predictor's driver in turn, so trace generation/decode cost is paid
- * per benchmark instead of per cell.
- *
- * Each driver owns the engine-side state a ReplaySession would (RAS +
- * metrics) and routes spans through the same devirtualized loop the
- * batched replay uses — the concrete-type dispatch happens once, at
- * construction.  Feeding a trace in spans of any size is bit-identical
- * to one ReplaySession::run() over the whole trace: the loop carries
- * no cross-span state beyond the RAS, metrics and predictor.
- */
-class SpanDriver
-{
-  public:
-    SpanDriver(const EngineConfig &config,
-               pred::IndirectPredictor &predictor);
-
-    /** Replay @p n decoded records through the predictor. */
-    void feed(const trace::BranchRecord *span, std::size_t n);
-
-    /** Metrics accumulated so far. */
-    const RunMetrics &metrics() const { return metrics_; }
-
-    /** RAS + predictor probe snapshots (same order as a session). */
-    void snapshotProbes(obs::ProbeRegistry &registry) const;
-
-    /**
-     * Close the final partial timeline window (call once, after the
-     * last feed()); no-op when sampling is off or nothing is pending.
-     */
-    void finishTimeline();
-
-    /** The timeline sampled so far (see ReplaySession::timeline()). */
-    const obs::Timeline &timeline() const
-    {
-        return sampler_.timeline();
-    }
-
-    obs::Timeline takeTimeline() { return sampler_.takeTimeline(); }
-
-  private:
-    /** Close the timeline window ending at the current position. */
-    void sampleTimeline();
-
-    using FeedFn = void (*)(SpanDriver &, const trace::BranchRecord *,
-                            std::size_t);
-
-    template <typename Predictor>
-    static void feedAs(SpanDriver &driver,
-                       const trace::BranchRecord *span, std::size_t n);
-
-    static FeedFn selectFeed(pred::IndirectPredictor &predictor);
-
-    EngineConfig config_;
-    pred::IndirectPredictor *predictor_;
-    FeedFn feed_;
     pred::ReturnAddressStack ras_;
     RunMetrics metrics_;
     obs::TimelineSampler sampler_;

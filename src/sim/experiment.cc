@@ -316,359 +316,280 @@ loadSuiteProgressFor(const SuiteOptions &options,
     progress = std::move(loaded);
 }
 
-/** Persist the progress file; failures warn but never stop the run. */
-void
-writeSuiteProgress(const SuiteOptions &options,
-                   const SuiteProgress &progress)
-{
-    if (util::Status status = writeCheckpointFile(
-            options.checkpointPath, encodeSuiteProgress(progress));
-        !status.ok())
-        warn("checkpoint write failed: ", status.message());
-}
-
 /**
- * Records per one-pass chunk.  Small enough that a chunk (96 KiB of
- * 24-byte records) stays cache-resident while every predictor column
- * consumes it; any size produces the same matrix (span-size
- * invariance of the replay loop).
+ * The live progress file of a checkpointing run, shared by every row
+ * task.  Each update rewrites the whole file atomically.
  */
-constexpr std::size_t kOnePassChunk = 4096;
-
-/** Per-column state for a one-pass row: a factory-fresh predictor,
- *  its span driver, and this cell's accumulated replay time. */
-struct OnePassColumn
+class ProgressFile
 {
+  public:
+    ProgressFile(const std::string &path, SuiteProgress progress)
+        : path_(path), progress_(std::move(progress))
+    {
+    }
+
+    /** Replace @p row's in-flight snapshots with @p partials. */
+    void
+    snapshot(const std::string &row, std::vector<PartialCell> partials)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        dropPartialsLocked(row);
+        for (auto &partial : partials)
+            progress_.partials.push_back(std::move(partial));
+        writeLocked();
+    }
+
+    /** Record @p row's finished cells; its snapshots are obsolete. */
+    void
+    complete(const std::string &row, std::vector<CompletedCell> cells)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        dropPartialsLocked(row);
+        for (auto &cell : cells)
+            progress_.cells.push_back(std::move(cell));
+        writeLocked();
+    }
+
+  private:
+    // ibp-lint: requires_lock(mutex_)
+    void
+    dropPartialsLocked(const std::string &row)
+    {
+        std::erase_if(progress_.partials, [&row](const PartialCell &p) {
+            return p.row == row;
+        });
+    }
+
+    /** Persist the file; failures warn but never stop the run. */
+    // ibp-lint: requires_lock(mutex_)
+    void
+    writeLocked()
+    {
+        if (util::Status status = writeCheckpointFile(
+                path_, encodeSuiteProgress(progress_));
+            !status.ok())
+            warn("checkpoint write failed: ", status.message());
+    }
+
+    const std::string path_;
+    std::mutex mutex_;
+    SuiteProgress progress_; // ibp-lint: guarded_by(mutex_)
+};
+
+/** One unfinished predictor column of a row task. */
+struct Column
+{
+    Column(std::size_t column, const std::string &name,
+           const SuiteOptions &options)
+        : index(column), predictor(makePredictor(name, options.factory)),
+          session(options.engine)
+    {
+    }
+
+    std::size_t index; ///< position in the predictor list
     std::unique_ptr<pred::IndirectPredictor> predictor;
-    std::unique_ptr<SpanDriver> driver;
+    ReplaySession session;
+    std::uint64_t cursor = 0; ///< records replayed so far
+    PartialCell snapshot;     ///< latest mid-row snapshot, if any
     double wallSeconds = 0;
     double cpuSeconds = 0;
 };
 
-std::vector<OnePassColumn>
-makeOnePassColumns(const std::vector<std::string> &predictor_names,
-                   const SuiteOptions &options)
+/** What a row task hands back to the collecting thread, per column. */
+struct RowOutput
 {
-    std::vector<OnePassColumn> columns(predictor_names.size());
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-        columns[c].predictor =
-            makePredictor(predictor_names[c], options.factory);
-        columns[c].driver = std::make_unique<SpanDriver>(
-            options.engine, *columns[c].predictor);
-    }
-    return columns;
-}
+    std::vector<CellResult> cells;
+    std::vector<obs::ProbeRegistry> probes;
+    std::vector<obs::Timeline> timelines;
+    double genSeconds = 0;
+    double cpuSeconds = 0; ///< whole task: generation + replay
+};
 
-/** Feed one decoded chunk to every column, timing each feed. */
-void
-feedOnePassChunk(std::vector<OnePassColumn> &columns,
-                 const trace::BranchRecord *chunk, std::size_t n)
+/**
+ * Build a factory-fresh column, continuing from @p partial when it is
+ * a usable snapshot for a trace of @p records records.
+ */
+Column
+makeColumn(std::size_t index, const std::string &name,
+           const SuiteOptions &options, const PartialCell *partial,
+           std::uint64_t records)
 {
-    for (auto &column : columns) {
-        const double wall_start = obs::wallSeconds();
-        const double cpu_start = obs::threadCpuSeconds();
-        column.driver->feed(chunk, n);
-        column.cpuSeconds += obs::threadCpuSeconds() - cpu_start;
-        column.wallSeconds += secondsSince(wall_start);
+    Column column(index, name, options);
+    if (partial == nullptr)
+        return column;
+    if (partial->cursor <= records &&
+        restorePartialCell(*partial, *column.predictor,
+                           column.session)) {
+        // Mid-replay resume: the prefix was consumed by the
+        // interrupted run; its effects live in the restored state.
+        column.cursor = partial->cursor;
+        column.snapshot = *partial;
+        return column;
     }
-}
-
-/** Harvest a finished one-pass row into cells + probes + timelines. */
-std::vector<CellResult>
-harvestOnePassRow(std::vector<OnePassColumn> &columns,
-                  const std::vector<std::string> &predictor_names,
-                  const std::string &row_name, SuiteResult &result)
-{
-    std::vector<CellResult> row;
-    row.reserve(columns.size());
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-        columns[c].driver->finishTimeline();
-        obs::ProbeRegistry probes;
-        columns[c].driver->snapshotProbes(probes);
-        CellResult cell = cellFromMetrics(columns[c].driver->metrics());
-        cell.wallSeconds = columns[c].wallSeconds;
-        cell.cpuSeconds = columns[c].cpuSeconds;
-        result.probes[predictor_names[c]].merge(probes);
-        row.push_back(cell);
-        if (obs::Timeline timeline = columns[c].driver->takeTimeline();
-            timeline.interval() > 0)
-            result.timelines[row_name][predictor_names[c]] =
-                std::move(timeline);
-    }
-    return row;
+    warn("mid-cell checkpoint for (", partial->row, ", ", name,
+         ") is unusable; replaying the cell from the start");
+    return makeColumn(index, name, options, nullptr, records);
 }
 
 /**
- * The serial one-pass path: one trace per row, decoded once, all
- * predictor columns fed from the shared records chunk by chunk.
+ * One row task: generate the row's trace, then feed it chunk by chunk
+ * to every column not already finished in @p resume, each from its own
+ * cursor.  With a progress file, every in-flight column is snapshotted
+ * at each multiple of checkpointEvery records and the finished cells
+ * are recorded when the row completes.
  */
-SuiteResult
-runSuiteOnePassSerial(
-    const std::vector<workload::BenchmarkProfile> &profiles,
-    const std::vector<std::string> &predictor_names,
-    const SuiteOptions &options, SuiteTiming *timing)
+RowOutput
+runRow(const workload::BenchmarkProfile &profile,
+       const std::vector<std::string> &predictor_names,
+       const SuiteOptions &options, const SuiteProgress &resume,
+       ProgressFile *progress)
 {
-    const double wall_start = obs::wallSeconds();
-    double trace_gen = 0;
-    SuiteResult result;
-    result.predictorNames = predictor_names;
+    const double cpu_start = obs::threadCpuSeconds();
+    const std::string row_name = profile.fullName();
+    const std::size_t cols = predictor_names.size();
+    RowOutput output;
+    output.cells.resize(cols);
+    output.probes.resize(cols);
+    output.timelines.resize(cols);
 
-    for (const auto &profile : profiles) {
-        const std::string row_name = profile.fullName();
-        result.rowNames.push_back(row_name);
+    std::vector<std::size_t> pending;
+    for (std::size_t c = 0; c < cols; ++c) {
+        if (const CompletedCell *done =
+                resume.find(row_name, predictor_names[c])) {
+            output.cells[c] = done->cell;
+            output.probes[c] = done->probes;
+            output.timelines[c] = done->timeline;
+        } else {
+            pending.push_back(c);
+        }
+    }
+    if (pending.empty())
+        return output; // a fully resumed row needs no trace at all
 
+    trace::TraceBuffer buffer;
+    {
+        obs::ScopedTraceSpan gen_span("tracegen " + row_name,
+                                      "tracegen");
         const double gen_start = obs::wallSeconds();
-        trace::TraceBuffer buffer;
-        {
-            obs::ScopedTraceSpan gen_span("tracegen " + row_name,
-                                          "tracegen");
-            buffer = generateTrace(profile, options.traceScale);
-        }
-        trace_gen += secondsSince(gen_start);
+        buffer = generateTrace(profile, options.traceScale);
+        output.genSeconds = secondsSince(gen_start);
+    }
+    obs::ScopedTraceSpan row_span(row_name + " / row", "cell");
+    const trace::BranchRecord *records = buffer.records().data();
+    const std::uint64_t total = buffer.size();
 
-        obs::ScopedTraceSpan row_span(row_name + " / one-pass row",
-                                      "cell");
-        auto columns = makeOnePassColumns(predictor_names, options);
-        buffer.rewind();
-        const trace::BranchRecord *span = nullptr;
-        std::size_t n = 0;
-        while ((n = buffer.nextSpan(span)) != 0) {
-            for (std::size_t off = 0; off < n; off += kOnePassChunk) {
-                const std::size_t len =
-                    std::min(kOnePassChunk, n - off);
-                feedOnePassChunk(columns, span + off, len);
-            }
+    std::vector<Column> columns;
+    columns.reserve(pending.size());
+    for (std::size_t c : pending) {
+        const PartialCell *partial = nullptr;
+        for (const auto &candidate : resume.partials)
+            if (candidate.row == row_name &&
+                candidate.col == predictor_names[c])
+                partial = &candidate;
+        columns.push_back(makeColumn(c, predictor_names[c], options,
+                                     partial, total));
+    }
+
+    const std::uint64_t every =
+        progress != nullptr ? options.checkpointEvery : 0;
+    std::uint64_t pos = total;
+    for (const auto &column : columns)
+        pos = std::min(pos, column.cursor);
+    while (pos < total) {
+        std::uint64_t end = std::min<std::uint64_t>(
+            total, pos + trace::kReplayChunk);
+        if (every > 0)
+            end = std::min(end, (pos / every + 1) * every);
+        for (auto &column : columns) {
+            if (column.cursor >= end)
+                continue; // resumed ahead of this chunk
+            const double feed_wall = obs::wallSeconds();
+            const double feed_cpu = obs::threadCpuSeconds();
+            column.session.feed(
+                records + column.cursor,
+                static_cast<std::size_t>(end - column.cursor),
+                *column.predictor);
+            column.cpuSeconds += obs::threadCpuSeconds() - feed_cpu;
+            column.wallSeconds += secondsSince(feed_wall);
+            column.cursor = end;
         }
-        result.cells.push_back(harvestOnePassRow(
-            columns, predictor_names, row_name, result));
+        pos = end;
+        if (every > 0 && pos % every == 0 && pos < total) {
+            std::vector<PartialCell> partials;
+            for (auto &column : columns) {
+                if (column.cursor == pos)
+                    column.snapshot = capturePartialCell(
+                        row_name, predictor_names[column.index], pos,
+                        *column.predictor, column.session);
+                if (column.snapshot.valid)
+                    partials.push_back(column.snapshot);
+            }
+            progress->snapshot(row_name, std::move(partials));
+        }
     }
-    if (timing) {
-        timing->wallSeconds = secondsSince(wall_start);
-        timing->serialEquivalentSeconds = timing->wallSeconds;
-        timing->traceGenSeconds = trace_gen;
-        timing->threadsUsed = 1;
+
+    std::vector<CompletedCell> finished;
+    for (auto &column : columns) {
+        const std::size_t c = column.index;
+        column.session.finish(*column.predictor);
+        column.session.snapshotProbes(output.probes[c],
+                                      *column.predictor);
+        output.cells[c] = cellFromMetrics(column.session.metrics());
+        output.cells[c].wallSeconds = column.wallSeconds;
+        output.cells[c].cpuSeconds = column.cpuSeconds;
+        output.timelines[c] = column.session.takeTimeline();
+        if (progress != nullptr)
+            finished.push_back(CompletedCell{
+                row_name, predictor_names[c], output.cells[c],
+                output.probes[c], output.timelines[c]});
     }
-    return result;
+    if (progress != nullptr)
+        progress->complete(row_name, std::move(finished));
+    output.cpuSeconds = obs::threadCpuSeconds() - cpu_start;
+    return output;
 }
 
-/** The legacy serial path: one trace per row, one cell at a time. */
-SuiteResult
-runSuiteSerial(const std::vector<workload::BenchmarkProfile> &profiles,
-               const std::vector<std::string> &predictor_names,
-               const SuiteOptions &options, SuiteTiming *timing)
-{
-    if (options.onePass) {
-        if (options.checkpointPath.empty())
-            return runSuiteOnePassSerial(profiles, predictor_names,
-                                         options, timing);
-        warn("one-pass suite mode does not support checkpointing; "
-             "using the per-cell path");
-    }
+} // namespace
 
+SuiteResult
+runSuite(const std::vector<workload::BenchmarkProfile> &profiles,
+         const std::vector<std::string> &predictor_names,
+         const SuiteOptions &options, SuiteTiming *timing)
+{
     const double wall_start = obs::wallSeconds();
-    double trace_gen = 0;
-    SuiteResult result;
-    result.predictorNames = predictor_names;
-
-    const bool checkpointing = !options.checkpointPath.empty();
-    SuiteProgress progress;
-    if (checkpointing) {
-        progress.fingerprint =
-            suiteFingerprint(profiles, predictor_names, options);
-        loadSuiteProgressFor(options, progress);
-    }
-
-    for (const auto &profile : profiles) {
-        const std::string row_name = profile.fullName();
-        result.rowNames.push_back(row_name);
-
-        // A fully resumed row needs no trace at all.
-        bool row_needs_trace = !checkpointing;
-        for (const auto &name : predictor_names)
-            if (!row_needs_trace && !progress.find(row_name, name))
-                row_needs_trace = true;
-
-        trace::TraceBuffer buffer;
-        if (row_needs_trace) {
-            obs::ScopedTraceSpan gen_span("tracegen " + row_name,
-                                          "tracegen");
-            const double gen_start = obs::wallSeconds();
-            buffer = generateTrace(profile, options.traceScale);
-            trace_gen += secondsSince(gen_start);
-        }
-
-        std::vector<CellResult> row;
-        row.reserve(predictor_names.size());
-        for (const auto &name : predictor_names) {
-            if (checkpointing) {
-                if (const CompletedCell *done =
-                        progress.find(row_name, name)) {
-                    result.probes[name].merge(done->probes);
-                    row.push_back(done->cell);
-                    if (done->timeline.interval() > 0)
-                        result.timelines[row_name][name] =
-                            done->timeline;
-                    continue;
-                }
-            }
-            obs::ScopedTraceSpan cell_span(row_name + " / " + name,
-                                           "cell");
-            auto predictor = makePredictor(name, options.factory);
-            ReplaySession session(options.engine);
-            buffer.rewind();
-            const double cell_start = obs::wallSeconds();
-            const double cpu_start = obs::threadCpuSeconds();
-
-            if (progress.partial.valid &&
-                progress.partial.row == row_name &&
-                progress.partial.col == name) {
-                const std::uint64_t cursor = progress.partial.cursor;
-                if (restorePartialCell(progress.partial, *predictor,
-                                       session) &&
-                    buffer.seek(cursor)) {
-                    // Mid-replay resume: the prefix was consumed by
-                    // the interrupted run; its effects live in the
-                    // restored predictor/engine state.
-                } else {
-                    warn("mid-cell checkpoint for (", row_name, ", ",
-                         name, ") is unusable; replaying the cell "
-                         "from the start");
-                    predictor = makePredictor(name, options.factory);
-                    session = ReplaySession(options.engine);
-                    buffer.rewind();
-                }
-                progress.partial = PartialCell{};
-            }
-
-            if (checkpointing && options.checkpointEvery > 0) {
-                for (;;) {
-                    const std::uint64_t ran = session.run(
-                        buffer, *predictor, options.checkpointEvery);
-                    if (ran < options.checkpointEvery)
-                        break;
-                    progress.partial = capturePartialCell(
-                        row_name, name, buffer.cursor(), *predictor,
-                        session);
-                    writeSuiteProgress(options, progress);
-                }
-            } else {
-                session.run(buffer, *predictor);
-            }
-
-            obs::ProbeRegistry probes;
-            session.snapshotProbes(probes, *predictor);
-            CellResult cell = cellFromMetrics(session.metrics());
-            cell.cpuSeconds = obs::threadCpuSeconds() - cpu_start;
-            cell.wallSeconds = secondsSince(cell_start);
-            result.probes[name].merge(probes);
-            row.push_back(cell);
-            obs::Timeline cell_timeline = session.takeTimeline();
-            if (checkpointing) {
-                progress.partial = PartialCell{};
-                CompletedCell done;
-                done.row = row_name;
-                done.col = name;
-                done.cell = cell;
-                done.probes = std::move(probes);
-                done.timeline = cell_timeline;
-                progress.cells.push_back(std::move(done));
-                writeSuiteProgress(options, progress);
-            }
-            if (cell_timeline.interval() > 0)
-                result.timelines[row_name][name] =
-                    std::move(cell_timeline);
-        }
-        result.cells.push_back(std::move(row));
-    }
-    if (timing) {
-        timing->wallSeconds = secondsSince(wall_start);
-        timing->serialEquivalentSeconds = timing->wallSeconds;
-        timing->traceGenSeconds = trace_gen;
-        timing->threadsUsed = 1;
-    }
-    return result;
-}
-
-/**
- * The parallel one-pass path: one task per benchmark row.  Each task
- * decodes the row's memoized packed trace once — chunk by chunk into a
- * stack ring — and feeds every predictor column from the shared
- * decode, so the per-cell decode cost of the cell-sharded path is paid
- * once per row.  Rows are independent (own predictors, own cursor, own
- * drivers), so the matrix stays bitwise invariant to scheduling and
- * thread count; results and probes are collected in row order off
- * futures, giving the same merge order as the serial paths.
- */
-SuiteResult
-runSuiteOnePassParallel(
-    const std::vector<workload::BenchmarkProfile> &profiles,
-    const std::vector<std::string> &predictor_names,
-    const SuiteOptions &options, SuiteTiming *timing,
-    unsigned threads)
-{
     SuiteResult result;
     result.predictorNames = predictor_names;
     result.rowNames.reserve(profiles.size());
     for (const auto &profile : profiles)
         result.rowNames.push_back(profile.fullName());
 
-    struct RowOutput
-    {
-        std::vector<CellResult> cells;
-        std::vector<obs::ProbeRegistry> probes;
-        std::vector<obs::Timeline> timelines; ///< per column
-        double genSeconds = 0;
-        double cpuSeconds = 0; ///< whole task: gen + decode + replay
-    };
+    SuiteProgress resume;
+    std::unique_ptr<ProgressFile> progress;
+    if (!options.checkpointPath.empty()) {
+        resume.fingerprint =
+            suiteFingerprint(profiles, predictor_names, options);
+        loadSuiteProgressFor(options, resume);
+        progress = std::make_unique<ProgressFile>(options.checkpointPath,
+                                                  resume);
+    }
 
-    const double wall_start = obs::wallSeconds();
-    std::vector<std::future<RowOutput>> futures;
-    futures.reserve(profiles.size());
+    double serial_equivalent = 0;
+    double trace_gen = 0;
+    unsigned threads = 1;
     {
-        util::ThreadPool pool(threads);
-        for (std::size_t r = 0; r < profiles.size(); ++r) {
-            futures.push_back(pool.submit([&profiles,
-                                           &predictor_names, &options,
-                                           r] {
-                const double cpu_start = obs::threadCpuSeconds();
-                obs::ScopedTraceSpan row_span(
-                    profiles[r].fullName() + " / one-pass row",
-                    "cell");
-                RowOutput output;
-                const auto buffer = generateTraceCached(
-                    profiles[r], options.traceScale,
-                    &output.genSeconds);
-                trace::PackedReplaySource source(*buffer);
-                auto columns =
-                    makeOnePassColumns(predictor_names, options);
-                std::vector<trace::BranchRecord> ring(kOnePassChunk);
-                std::size_t n = 0;
-                while ((n = source.nextBatch(ring.data(),
-                                             ring.size())) != 0)
-                    feedOnePassChunk(columns, ring.data(), n);
-                output.probes.resize(columns.size());
-                output.timelines.resize(columns.size());
-                output.cells.reserve(columns.size());
-                for (std::size_t c = 0; c < columns.size(); ++c) {
-                    columns[c].driver->finishTimeline();
-                    columns[c].driver->snapshotProbes(
-                        output.probes[c]);
-                    CellResult cell = cellFromMetrics(
-                        columns[c].driver->metrics());
-                    cell.wallSeconds = columns[c].wallSeconds;
-                    cell.cpuSeconds = columns[c].cpuSeconds;
-                    output.cells.push_back(cell);
-                    output.timelines[c] =
-                        columns[c].driver->takeTimeline();
-                }
-                output.cpuSeconds =
-                    obs::threadCpuSeconds() - cpu_start;
-                return output;
+        util::ThreadPool pool(
+            util::ThreadPool::resolveThreads(options.threads));
+        threads = pool.threadCount();
+        std::vector<std::future<RowOutput>> futures;
+        futures.reserve(profiles.size());
+        for (std::size_t r = 0; r < profiles.size(); ++r)
+            futures.push_back(pool.submit([&, r] {
+                return runRow(profiles[r], predictor_names, options,
+                              resume, progress.get());
             }));
-        }
 
-        double serial_equivalent = 0;
-        double trace_gen = 0;
+        // Rows are collected in row order, so probe merges and the
+        // timelines map are independent of which task finished first.
         for (std::size_t r = 0; r < futures.size(); ++r) {
             RowOutput output = futures[r].get();
             for (std::size_t c = 0; c < predictor_names.size(); ++c) {
@@ -683,178 +604,14 @@ runSuiteOnePassParallel(
             serial_equivalent += output.cpuSeconds;
             trace_gen += output.genSeconds;
         }
-        if (timing) {
-            timing->serialEquivalentSeconds = serial_equivalent;
-            timing->traceGenSeconds = trace_gen;
-            timing->threadsUsed = pool.threadCount();
-        }
     }
-    if (timing)
+    if (timing) {
         timing->wallSeconds = secondsSince(wall_start);
-    return result;
-}
-
-} // namespace
-
-SuiteResult
-runSuite(const std::vector<workload::BenchmarkProfile> &profiles,
-         const std::vector<std::string> &predictor_names,
-         const SuiteOptions &options, SuiteTiming *timing)
-{
-    const unsigned resolved =
-        util::ThreadPool::resolveThreads(options.threads);
-    if (resolved <= 1)
-        return runSuiteSerial(profiles, predictor_names, options,
-                              timing);
-    return runSuiteParallel(profiles, predictor_names, options, timing);
-}
-
-SuiteResult
-runSuiteParallel(const std::vector<workload::BenchmarkProfile> &profiles,
-                 const std::vector<std::string> &predictor_names,
-                 const SuiteOptions &options, SuiteTiming *timing)
-{
-    const unsigned threads =
-        util::ThreadPool::resolveThreads(options.threads);
-
-    if (options.onePass) {
-        if (options.checkpointPath.empty())
-            return runSuiteOnePassParallel(profiles, predictor_names,
-                                           options, timing, threads);
-        warn("one-pass suite mode does not support checkpointing; "
-             "using the per-cell path");
+        timing->serialEquivalentSeconds =
+            threads <= 1 ? timing->wallSeconds : serial_equivalent;
+        timing->traceGenSeconds = trace_gen;
+        timing->threadsUsed = threads;
     }
-
-    const std::size_t rows = profiles.size();
-    const std::size_t cols = predictor_names.size();
-
-    SuiteResult result;
-    result.predictorNames = predictor_names;
-    result.rowNames.reserve(rows);
-    for (const auto &profile : profiles)
-        result.rowNames.push_back(profile.fullName());
-    result.cells.assign(rows, std::vector<CellResult>(cols));
-
-    const bool checkpointing = !options.checkpointPath.empty();
-    SuiteProgress progress;
-    if (checkpointing) {
-        progress.fingerprint =
-            suiteFingerprint(profiles, predictor_names, options);
-        loadSuiteProgressFor(options, progress);
-        // Mid-cell snapshots are a serial-path feature; a resumed
-        // partial cell is simply replayed whole here.
-        progress.partial = PartialCell{};
-    }
-
-    // One task per (row, column) cell.  Every task replays an
-    // immutable memoized trace through its own cursor into its own
-    // factory-fresh predictor and engine, so cells are independent and
-    // the matrix is bitwise invariant to scheduling order.
-    struct CellOutput
-    {
-        CellResult cell;
-        double genSeconds = 0;
-        obs::ProbeRegistry probes;
-        obs::Timeline timeline;
-    };
-
-    struct CellTask
-    {
-        std::size_t r;
-        std::size_t c;
-    };
-
-    const double wall_start = obs::wallSeconds();
-    std::vector<CellTask> tasks;
-    std::vector<std::future<CellOutput>> futures;
-    tasks.reserve(rows * cols);
-    futures.reserve(rows * cols);
-    {
-        util::ThreadPool pool(threads);
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                if (checkpointing) {
-                    if (const CompletedCell *done = progress.find(
-                            result.rowNames[r], predictor_names[c])) {
-                        result.cells[r][c] = done->cell;
-                        result.probes[predictor_names[c]].merge(
-                            done->probes);
-                        if (done->timeline.interval() > 0)
-                            result.timelines[result.rowNames[r]]
-                                            [predictor_names[c]] =
-                                done->timeline;
-                        continue;
-                    }
-                }
-                tasks.push_back(CellTask{r, c});
-                futures.push_back(pool.submit([&profiles,
-                                               &predictor_names,
-                                               &options, r, c] {
-                    // Thread-CPU time covers this cell's simulation
-                    // plus any trace generation it performed; cache
-                    // waiters burn ~no CPU while blocked, so the sum
-                    // over cells reconstructs the serial cost without
-                    // double-counting or oversubscription inflation.
-                    const double cell_start = obs::wallSeconds();
-                    const double cpu_start = obs::threadCpuSeconds();
-                    obs::ScopedTraceSpan cell_span(
-                        profiles[r].fullName() + " / " +
-                            predictor_names[c],
-                        "cell");
-                    CellOutput output;
-                    const auto buffer = generateTraceCached(
-                        profiles[r], options.traceScale,
-                        &output.genSeconds);
-                    trace::PackedReplaySource source(*buffer);
-                    auto predictor = makePredictor(predictor_names[c],
-                                                   options.factory);
-                    Engine engine(options.engine);
-                    output.cell = cellFromMetrics(
-                        engine.run(source, *predictor, &output.probes,
-                                   &output.timeline));
-                    output.cell.cpuSeconds =
-                        obs::threadCpuSeconds() - cpu_start;
-                    output.cell.wallSeconds = secondsSince(cell_start);
-                    return output;
-                }));
-            }
-        }
-
-        double serial_equivalent = 0;
-        double trace_gen = 0;
-        // Futures resolve in submission order; completed-cell probes
-        // merged above and these merge by summation, so the final
-        // registries are independent of which cells were resumed.
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            CellOutput output = futures[i].get();
-            const auto [r, c] = tasks[i];
-            result.cells[r][c] = output.cell;
-            result.probes[predictor_names[c]].merge(output.probes);
-            serial_equivalent += output.cell.cpuSeconds;
-            trace_gen += output.genSeconds;
-            if (checkpointing) {
-                CompletedCell done;
-                done.row = result.rowNames[r];
-                done.col = predictor_names[c];
-                done.cell = output.cell;
-                done.probes = std::move(output.probes);
-                done.timeline = output.timeline;
-                progress.cells.push_back(std::move(done));
-                writeSuiteProgress(options, progress);
-            }
-            if (output.timeline.interval() > 0)
-                result.timelines[result.rowNames[r]]
-                                [predictor_names[c]] =
-                    std::move(output.timeline);
-        }
-        if (timing) {
-            timing->serialEquivalentSeconds = serial_equivalent;
-            timing->traceGenSeconds = trace_gen;
-            timing->threadsUsed = pool.threadCount();
-        }
-    }
-    if (timing)
-        timing->wallSeconds = secondsSince(wall_start);
     return result;
 }
 

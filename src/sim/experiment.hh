@@ -7,16 +7,15 @@
  * it through a list of factory-built predictors, producing the
  * benchmark x predictor misprediction matrix the paper plots.
  *
- * Two execution paths produce bit-identical matrices:
- *  - the legacy serial path (SuiteOptions::threads == 1), one cell at
- *    a time, and
- *  - a deterministic parallel path sharding at (benchmark row,
- *    predictor column) cell granularity over a fixed-size ThreadPool.
- * Each parallel cell builds its own factory-fresh predictor and
- * Engine and replays an immutable, memoized trace through a private
- * cursor, so no simulation state is shared and results do not depend
- * on scheduling order (enforced by tests/test_parallel_suite.cc and
- * the golden fixture in tests/golden/).
+ * One scheduler runs every suite: one task per benchmark row on a
+ * ThreadPool (a pool of one when SuiteOptions::threads == 1).  Each
+ * task generates its row's trace privately and replays it once for
+ * all predictor columns, feeding it chunk by chunk to one
+ * factory-fresh predictor and ReplaySession per column.  Rows share no
+ * simulation state and are collected in row order, so the matrix,
+ * probes and timelines do not depend on scheduling or thread count
+ * (enforced by tests/test_parallel_suite.cc and the golden fixtures in
+ * tests/golden/).
  */
 
 #ifndef IBP_SIM_EXPERIMENT_HH_
@@ -44,10 +43,10 @@ struct SuiteOptions
 {
     double traceScale = 1.0; ///< multiplies each profile's record count
     /**
-     * Worker threads for the suite matrix: 1 (default) runs the legacy
-     * serial path, 0 uses hardware concurrency, any other value that
-     * many workers.  The resulting matrix is bit-identical for every
-     * setting.
+     * Worker threads for the suite's row tasks: 1 (default) is a pool
+     * of one, 0 uses hardware concurrency, any other value that many
+     * workers.  At most one worker per benchmark row is ever busy.
+     * The resulting matrix is bit-identical for every setting.
      */
     unsigned threads = 1;
     FactoryOptions factory;
@@ -56,40 +55,26 @@ struct SuiteOptions
     /**
      * Progress-file path for checkpoint/resume (see sim/checkpoint.hh).
      * When non-empty, the runner records every completed cell there
-     * (written atomically after each cell) and, with resume, skips the
-     * cells a previous interrupted run already finished.  The file
-     * carries a fingerprint of the exact matrix configuration; a
-     * mismatch or a corrupt file downgrades to a warn() and a fresh
-     * run.  Empty (the default) disables checkpointing entirely.
+     * (written atomically as each row finishes) and, with resume,
+     * skips the cells a previous interrupted run already finished.
+     * The file carries a fingerprint of the exact matrix
+     * configuration; a mismatch or a corrupt file downgrades to a
+     * warn() and a fresh run.  Empty (the default) disables
+     * checkpointing entirely.
      */
     std::string checkpointPath;
 
     /**
-     * Mid-cell checkpoint cadence in replayed records (serial path
-     * only; 0 = cell granularity).  Every @c checkpointEvery records
-     * the in-flight cell's full simulation state is snapshotted into
-     * the progress file, so even a single long cell resumes mid-replay
+     * Mid-row checkpoint cadence in replayed records (0 = row
+     * granularity).  At every multiple of @c checkpointEvery records
+     * each in-flight cell's full simulation state is snapshotted into
+     * the progress file, so even a single long row resumes mid-replay
      * instead of restarting.
      */
     std::uint64_t checkpointEvery = 0;
 
     /** Resume from checkpointPath if it exists and matches. */
     bool resume = false;
-
-    /**
-     * One-pass-many-predictors replay: generate/decode each
-     * benchmark's trace once and feed every predictor column from the
-     * shared records (in chunks, so the stream stays cache-resident),
-     * instead of re-reading the trace once per cell.  Amortizes the
-     * trace generation/decode cost across the whole row on both the
-     * serial and the row-sharded parallel path.  Results are
-     * bit-identical to the per-cell paths — the replay loop carries no
-     * cross-chunk state beyond each driver's RAS/metrics/predictor —
-     * and invariant to thread count.  Incompatible with checkpointing
-     * (cells finish together, so there is no per-cell completion
-     * order); a run requesting both warns and uses the per-cell path.
-     */
-    bool onePass = false;
 };
 
 /** Wall-clock accounting for one suite run (or an aggregate of runs). */
@@ -97,9 +82,9 @@ struct SuiteTiming
 {
     double wallSeconds = 0;
     /**
-     * Sum of per-cell simulation time plus each unique trace
-     * generation — what the same work would have cost on the serial
-     * path.  On the serial path this equals wallSeconds.
+     * Sum of the row tasks' thread-CPU time (trace generation plus
+     * replay) — what the same work would have cost on one thread.
+     * With one thread this equals wallSeconds.
      */
     double serialEquivalentSeconds = 0;
     /** Time spent generating (not replaying) unique traces. */
@@ -121,7 +106,7 @@ struct CellResult
     double noPredictionPercent = 0;
     std::uint64_t predictions = 0;
     double wallSeconds = 0; ///< this cell's replay wall time
-    double cpuSeconds = 0;  ///< thread-CPU time incl. any trace gen
+    double cpuSeconds = 0;  ///< this cell's replay thread-CPU time
 };
 
 /** The full matrix. */
@@ -200,27 +185,16 @@ RunMetrics runOne(const workload::BenchmarkProfile &profile,
                   const SuiteOptions &options = {});
 
 /**
- * Run the full matrix, dispatching on SuiteOptions::threads: the
- * legacy serial path when it resolves to one worker, otherwise
- * runSuiteParallel().  @p timing, when non-null, receives wall-clock
- * accounting for the run.
+ * Run the full matrix: one task per benchmark row on a ThreadPool of
+ * SuiteOptions::threads workers (0 = hardware concurrency), each
+ * replaying its row's trace once for every unfinished predictor
+ * column, with the checkpoint/resume behaviour SuiteOptions describes.
+ * @p timing, when non-null, receives wall-clock accounting.
  */
 SuiteResult runSuite(const std::vector<workload::BenchmarkProfile> &,
                      const std::vector<std::string> &predictor_names,
                      const SuiteOptions &options = {},
                      SuiteTiming *timing = nullptr);
-
-/**
- * The parallel path: shards the matrix at cell granularity over a
- * ThreadPool of SuiteOptions::threads workers (0 = hardware
- * concurrency).  Bit-identical to the serial path for any worker
- * count; results are collected in submission order off futures.
- */
-SuiteResult
-runSuiteParallel(const std::vector<workload::BenchmarkProfile> &,
-                 const std::vector<std::string> &predictor_names,
-                 const SuiteOptions &options = {},
-                 SuiteTiming *timing = nullptr);
 
 /** Mean and spread of suite averages over re-seeded workloads. */
 struct SeedSweepResult

@@ -180,13 +180,6 @@ class PackedTraceBuffer : public BranchSink
 class PackedReplaySource : public BranchSource
 {
   public:
-    /** Records unpacked per nextSpan() call.  A few thousand records
-     *  amortize the per-span virtual call and driver overhead to
-     *  nothing and keep the engine's replay lookahead (prefetch)
-     *  effective deep into the span; the decode ring (96 KiB) plus
-     *  the packed run it reads (64 KiB) stay L2-resident. */
-    static constexpr std::size_t kSpanRecords = 4096;
-
     explicit PackedReplaySource(const PackedTraceBuffer &buffer)
         : buffer_(&buffer)
     {}
@@ -220,8 +213,8 @@ class PackedReplaySource : public BranchSource
         // The ring is allocated on first use so cursors that only
         // ever nextBatch() (bounded replays) stay allocation-free.
         if (ring_.empty())
-            ring_.resize(kSpanRecords);
-        const std::size_t n = nextBatch(ring_.data(), kSpanRecords);
+            ring_.resize(kReplayChunk);
+        const std::size_t n = nextBatch(ring_.data(), kReplayChunk);
         span = ring_.data();
         return n;
     }
@@ -245,7 +238,9 @@ class PackedReplaySource : public BranchSource
   private:
     const PackedTraceBuffer *buffer_;
     std::size_t cursor_ = 0;
-    std::vector<BranchRecord> ring_; ///< nextSpan() decode ring
+    /** nextSpan() decode ring of kReplayChunk records (96 KiB, plus
+     *  the 64 KiB packed run it reads: both stay L2-resident). */
+    std::vector<BranchRecord> ring_;
 };
 
 } // namespace ibp::trace

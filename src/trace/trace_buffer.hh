@@ -17,6 +17,16 @@
 
 namespace ibp::trace {
 
+/**
+ * Records per replay chunk: the decode ring of a packed cursor, the
+ * bounded-replay batch and the run a suite row feeds each predictor
+ * column at a time.  A few thousand records amortize per-chunk calls
+ * to nothing while a chunk of 24-byte records (96 KiB) stays
+ * L2-resident across every consumer.  Any size gives the same
+ * simulated numbers: the replay loop carries no cross-chunk state.
+ */
+inline constexpr std::size_t kReplayChunk = 4096;
+
 /** Anything that consumes a stream of branch records. */
 class BranchSink
 {

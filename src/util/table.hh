@@ -82,20 +82,6 @@ class DirectTable
         return entries_[index];
     }
 
-    /** Hint the cache to pull @p index's entry (replay lookahead). */
-    void
-    prefetchEntry(std::uint64_t index) const
-    {
-        ibp_table_check(index >= entries_.size(), "DirectTable index ",
-                        index, " out of range (size ", entries_.size(),
-                        ")");
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&entries_[index]);
-#else
-        (void)index;
-#endif
-    }
-
     void
     reset()
     {
@@ -148,10 +134,10 @@ class DirectTable
  * stamps and payload entries live in four contiguous planes rather
  * than one array-of-structs line vector.  A way scan then walks a
  * handful of adjacent tag words (branch-free select over the set's
- * slice) instead of striding over interleaved payload bytes, and a
- * predictor can prefetch a set's slice ahead of time.  The serialized
- * byte stream interleaves the planes per line, exactly matching the
- * historical array-of-structs layout, so checkpoints are unaffected.
+ * slice) instead of striding over interleaved payload bytes.  The
+ * serialized byte stream interleaves the planes per line, exactly
+ * matching the historical array-of-structs layout, so checkpoints are
+ * unaffected.
  *
  * Slot protocol for fused predict/update paths: findWay() locates a
  * way without side effects; touchWay()/wayEntry() promote and access
@@ -246,23 +232,6 @@ class AssocTable
     {
         IBP_PROBE(if (setOccupancy(set) > 0) conflictMisses_.bump();)
         (void)set;
-    }
-
-    /** Hint the cache to pull @p set's tag/LRU/payload slices (replay
-     *  lookahead; no architectural effect). */
-    void
-    prefetchSet(std::uint64_t set) const
-    {
-        ibp_table_check(set >= numSets, "AssocTable set out of range");
-#if defined(__GNUC__) || defined(__clang__)
-        const std::size_t base = set * numWays;
-        __builtin_prefetch(&valid_[base]);
-        __builtin_prefetch(&tags_[base]);
-        __builtin_prefetch(&lastUse_[base]);
-        __builtin_prefetch(&entries_[base]);
-#else
-        (void)set;
-#endif
     }
 
     /**

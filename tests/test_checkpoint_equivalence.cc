@@ -352,13 +352,22 @@ TEST(CheckpointEquivalence, SuiteProgressHostileInputNeverCrashes)
     cell.cell.predictions = 1000;
     cell.probes.counter("ras/pushes", 42);
     progress.cells.push_back(cell);
-    progress.partial.valid = true;
-    progress.partial.row = "perl";
-    progress.partial.col = "BTB2b";
-    progress.partial.cursor = 123;
-    progress.partial.predictorState = std::string(32, 'x');
-    progress.partial.engineState = std::string(16, 'y');
-    progress.partial.probeState = std::string(8, 'z');
+    // Several in-flight cells, one "partial" section each; the
+    // single-cell compatibility slot encodes as one more section.
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        PartialCell partial;
+        partial.valid = true;
+        partial.row = "perl";
+        partial.col = "BTB2b#" + std::to_string(i);
+        partial.cursor = 123 + i;
+        partial.predictorState = std::string(32 + i, 'x');
+        partial.engineState = std::string(16, 'y');
+        partial.probeState = std::string(8, 'z');
+        if (i < 2)
+            progress.partials.push_back(partial);
+        else
+            progress.partial = partial;
+    }
     const std::vector<std::uint8_t> valid =
         encodeSuiteProgress(progress);
 
@@ -367,9 +376,17 @@ TEST(CheckpointEquivalence, SuiteProgressHostileInputNeverCrashes)
     ASSERT_EQ(round.cells.size(), 1u);
     EXPECT_EQ(round.cells[0].cell.missPercent, 12.5);
     EXPECT_EQ(round.cells[0].probes.counterValue("ras/pushes"), 42u);
-    ASSERT_TRUE(round.partial.valid);
-    EXPECT_EQ(round.partial.cursor, 123u);
-    EXPECT_EQ(round.partial.predictorState, std::string(32, 'x'));
+    ASSERT_EQ(round.partials.size(), 3u);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        EXPECT_TRUE(round.partials[i].valid);
+        EXPECT_EQ(round.partials[i].col,
+                  "BTB2b#" + std::to_string(i));
+        EXPECT_EQ(round.partials[i].cursor, 123 + i);
+        EXPECT_EQ(round.partials[i].predictorState,
+                  std::string(32 + i, 'x'));
+    }
+    EXPECT_EQ(encodeSuiteProgress(round), valid)
+        << "re-encoding the decoded partials must be byte-identical";
 
     for (std::size_t len = 0; len < valid.size(); ++len) {
         std::vector<std::uint8_t> cut(valid.begin(),

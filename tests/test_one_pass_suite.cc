@@ -1,23 +1,22 @@
 /**
  * @file
- * One-pass suite mode and fused fast-path differential tests.
+ * One-pass suite replay and fused fast-path differential tests.
  *
- * The one-pass runner (SuiteOptions::onePass) feeds every predictor
- * column from one shared trace stream; its whole value proposition
- * rests on producing the *bit-identical* matrix and probe registries
- * the per-cell paths produce, for any thread count.  Separately, the
- * engine's devirtualized fused replay loops (Dpath / Cascade /
- * Filtered-PPM) are checked against a split predict()-then-update()
- * reference replay over every committed adversarial regression
- * profile — the workloads fuzzing found most likely to expose a
- * predictor-state divergence.
+ * The suite scheduler feeds every predictor column of a row from one
+ * shared trace, chunk by chunk; it must produce the *bit-identical*
+ * matrix and probe registries an independent whole-trace Engine::run
+ * per cell produces (thread-count invariance is pinned in
+ * test_parallel_suite.cc).  Separately, the engine's devirtualized
+ * fused replay loops (Dpath / Cascade / Filtered-PPM) are checked
+ * against a split predict()-then-update() reference replay over every
+ * committed adversarial regression profile — the workloads fuzzing
+ * found most likely to expose a predictor-state divergence.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -59,8 +58,8 @@ const std::vector<std::string> kPredictors = {
 };
 
 /** Assert two suite results are bitwise equal: cells *and* probes.
- *  Timing fields are excluded — they are the only thing the one-pass
- *  mode is allowed to change. */
+ *  Timing fields are excluded — they are the only thing the replay
+ *  schedule is allowed to change. */
 void
 expectIdentical(const SuiteResult &expected, const SuiteResult &actual,
                 const std::string &label)
@@ -98,68 +97,46 @@ expectIdentical(const SuiteResult &expected, const SuiteResult &actual,
     }
 }
 
-class OnePassSuite : public ::testing::Test
+/** The per-cell reference: one whole-trace Engine::run per cell. */
+SuiteResult
+perCellReference(const std::vector<BenchmarkProfile> &suite,
+                 const std::vector<std::string> &predictors)
 {
-  protected:
-    void SetUp() override { clearTraceCache(); }
-    void TearDown() override { clearTraceCache(); }
-};
+    SuiteResult result;
+    result.predictorNames = predictors;
+    for (const BenchmarkProfile &profile : suite) {
+        result.rowNames.push_back(profile.fullName());
+        const ibp::trace::TraceBuffer trace = generateTrace(profile);
+        std::vector<CellResult> row;
+        for (const std::string &name : predictors) {
+            auto predictor = makePredictor(name);
+            ibp::trace::ReplaySource source(trace);
+            ibp::obs::ProbeRegistry probes;
+            const RunMetrics metrics =
+                Engine().run(source, *predictor, &probes);
+            CellResult cell;
+            cell.missPercent = metrics.missPercent();
+            cell.noPredictionPercent = metrics.noPrediction.percent();
+            cell.predictions = metrics.mtIndirect;
+            row.push_back(cell);
+            result.probes[name].merge(probes);
+        }
+        result.cells.push_back(std::move(row));
+    }
+    return result;
+}
 
-TEST_F(OnePassSuite, SerialMatchesPerCellBitwise)
+TEST(OnePassSuite, SerialMatchesPerCellBitwise)
 {
     const auto suite = miniSuite();
     SuiteOptions options;
     options.threads = 1;
-    const auto per_cell = runSuite(suite, kPredictors, options);
-
-    options.onePass = true;
     SuiteTiming timing;
     const auto one_pass = runSuite(suite, kPredictors, options, &timing);
-    expectIdentical(per_cell, one_pass, "one-pass serial");
+    expectIdentical(perCellReference(suite, kPredictors), one_pass,
+                    "one-pass serial");
     EXPECT_EQ(timing.threadsUsed, 1u);
     EXPECT_GT(timing.wallSeconds, 0.0);
-}
-
-TEST_F(OnePassSuite, ParallelThreadCountsBitIdentical)
-{
-    const auto suite = miniSuite();
-    SuiteOptions options;
-    options.threads = 1;
-    const auto per_cell = runSuite(suite, kPredictors, options);
-
-    options.onePass = true;
-    for (unsigned threads : {2u, 3u, 8u}) {
-        options.threads = threads;
-        SuiteTiming timing;
-        const auto one_pass =
-            runSuite(suite, kPredictors, options, &timing);
-        expectIdentical(per_cell, one_pass,
-                        "one-pass threads=" + std::to_string(threads));
-        EXPECT_EQ(timing.threadsUsed, threads);
-    }
-}
-
-TEST_F(OnePassSuite, CheckpointRequestFallsBackToPerCell)
-{
-    // One-pass has no per-cell completion order, so a run asking for
-    // both must warn and take the per-cell path — producing the same
-    // matrix and a usable progress file, not a crash or a silent
-    // wrong answer.
-    const auto suite = miniSuite();
-    SuiteOptions options;
-    options.threads = 1;
-    const auto per_cell = runSuite(suite, kPredictors, options);
-
-    const std::string path =
-        (fs::temp_directory_path() / "ibp_one_pass_fallback.ckpt")
-            .string();
-    std::remove(path.c_str());
-    options.onePass = true;
-    options.checkpointPath = path;
-    const auto fallback = runSuite(suite, kPredictors, options);
-    expectIdentical(per_cell, fallback, "one-pass + checkpoint");
-    EXPECT_TRUE(fs::exists(path));
-    std::remove(path.c_str());
 }
 
 // --- fused fast paths over the adversarial regression corpus ---------
@@ -225,7 +202,7 @@ TEST(FusedRegressionProfiles, EngineFastPathsMatchSplitReplay)
 {
     // The fuzzer-pinned profiles are the workloads most likely to
     // expose a divergence between the fused fast paths (slot caching,
-    // prefetch, LUT hashing) and the plain split protocol: they were
+    // LUT hashing) and the plain split protocol: they were
     // selected for perverse target churn and ranking sensitivity.
     const auto paths = committedProfiles();
     ASSERT_FALSE(paths.empty());

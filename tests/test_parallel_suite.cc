@@ -1,9 +1,9 @@
 /**
  * @file
- * Differential determinism tests for the parallel suite runner: the
- * (benchmark x predictor) matrix must be *bit-identical* for every
- * thread count, across repeated runs, or parallel sweeps cannot be
- * trusted to reproduce the paper's figures.
+ * Differential determinism tests for the suite scheduler: the
+ * (benchmark x predictor) matrix and its probe registries must be
+ * *bit-identical* for every thread count, across repeated runs, or
+ * parallel sweeps cannot be trusted to reproduce the paper's figures.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "util/serde.hh"
 #include "sim/experiment.hh"
 
 namespace {
@@ -38,7 +39,7 @@ const std::vector<std::string> kPredictors = {
     "BTB", "TC-PIB", "Cascade", "PPM-hyb",
 };
 
-/** Assert two matrices are bitwise equal, cell by cell. */
+/** Assert two matrices are bitwise equal, cell by cell, probes too. */
 void
 expectIdentical(const SuiteResult &expected, const SuiteResult &actual,
                 const std::string &label)
@@ -62,6 +63,18 @@ expectIdentical(const SuiteResult &expected, const SuiteResult &actual,
                 << label << " cell (" << r << ", " << c << ")";
         }
     }
+    // Probe registries serialize canonically (ordered maps), so two
+    // registries are equal iff their bytes are.
+    ASSERT_EQ(expected.probes.size(), actual.probes.size()) << label;
+    for (const auto &[name, registry] : expected.probes) {
+        const auto it = actual.probes.find(name);
+        ASSERT_NE(it, actual.probes.end()) << label << " " << name;
+        ibp::util::StateWriter want_bytes, got_bytes;
+        registry.saveState(want_bytes);
+        it->second.saveState(got_bytes);
+        EXPECT_EQ(want_bytes.bytes(), got_bytes.bytes())
+            << label << " probes for " << name;
+    }
 }
 
 class ParallelSuite : public ::testing::Test
@@ -77,13 +90,21 @@ TEST_F(ParallelSuite, ThreadCountsProduceBitIdenticalMatrices)
     SuiteOptions options;
 
     options.threads = 1;
-    const auto serial = runSuite(suite, kPredictors, options);
+    SuiteTiming serial_timing;
+    const auto serial =
+        runSuite(suite, kPredictors, options, &serial_timing);
+    EXPECT_EQ(serial_timing.threadsUsed, 1u);
 
-    for (unsigned threads : {2u, 8u}) {
+    for (unsigned threads : {2u, 3u, 8u}) {
         options.threads = threads;
-        const auto parallel = runSuite(suite, kPredictors, options);
+        SuiteTiming timing;
+        const auto parallel =
+            runSuite(suite, kPredictors, options, &timing);
         expectIdentical(serial, parallel,
                         "threads=" + std::to_string(threads));
+        EXPECT_EQ(timing.threadsUsed, threads);
+        EXPECT_GT(timing.wallSeconds, 0.0);
+        EXPECT_GE(timing.serialEquivalentSeconds, 0.0);
     }
 }
 
@@ -103,22 +124,6 @@ TEST_F(ParallelSuite, RepeatedRunsShakeOutSchedulingDependence)
         expectIdentical(serial, parallel,
                         "repeat threads=" + std::to_string(threads));
     }
-}
-
-TEST_F(ParallelSuite, ExplicitParallelEntryMatchesSerial)
-{
-    const auto suite = miniSuite();
-    SuiteOptions options;
-    const auto serial = runSuite(suite, kPredictors, options);
-
-    options.threads = 4;
-    SuiteTiming timing;
-    const auto parallel =
-        runSuiteParallel(suite, kPredictors, options, &timing);
-    expectIdentical(serial, parallel, "runSuiteParallel");
-    EXPECT_EQ(timing.threadsUsed, 4u);
-    EXPECT_GT(timing.wallSeconds, 0.0);
-    EXPECT_GE(timing.serialEquivalentSeconds, 0.0);
 }
 
 TEST_F(ParallelSuite, ZeroThreadsResolvesToHardwareConcurrency)

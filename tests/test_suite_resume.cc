@@ -6,8 +6,9 @@
  * file — whatever that file holds — produces a result matrix
  * bit-identical (cells and probe registries; timing excepted) to an
  * uninterrupted run of the same configuration.  That covers resuming
- * from a half-finished file (the kill-and-restart case), from a
- * mid-cell partial snapshot, and — crucially — from files that must
+ * from a half-finished file (the kill-and-restart case), from mid-row
+ * snapshots of several in-flight cells at different cursors, at one
+ * and at several threads, and — crucially — from files that must
  * NOT be trusted: corrupt bytes and checkpoints written by a different
  * configuration both downgrade to a warn() and a fresh, correct run.
  */
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "util/logging.hh"
+#include "util/serde.hh"
 #include "workload/profiles.hh"
 #include "sim/checkpoint.hh"
 #include "sim/engine.hh"
@@ -121,7 +123,7 @@ TEST(SuiteResume, UninterruptedCheckpointedRunMatchesPlainRun)
     ASSERT_TRUE(decodeSuiteProgress(bytes, progress).ok());
     EXPECT_EQ(progress.cells.size(),
               testProfiles().size() * kPredictors.size());
-    EXPECT_FALSE(progress.partial.valid);
+    EXPECT_TRUE(progress.partials.empty());
     EXPECT_EQ(progress.fingerprint,
               suiteFingerprint(testProfiles(), kPredictors, options));
     std::remove(options.checkpointPath.c_str());
@@ -277,6 +279,120 @@ TEST(SuiteResume, ParallelRunnerResumesAtCellGranularity)
     const SuiteResult resumed =
         runSuite(testProfiles(), kPredictors, options);
     expectSameResult(baseline, resumed, "parallel resume");
+    std::remove(options.checkpointPath.c_str());
+}
+
+/** Snapshot @p name on @p profile after @p cursor records. */
+PartialCell
+partialAt(const workload::BenchmarkProfile &profile,
+          const std::string &name, const SuiteOptions &options,
+          std::uint64_t cursor)
+{
+    trace::TraceBuffer trace =
+        generateTrace(profile, options.traceScale);
+    auto predictor = makePredictor(name);
+    ReplaySession session(options.engine);
+    EXPECT_EQ(session.run(trace, *predictor, cursor), cursor);
+    return capturePartialCell(profile.fullName(), name, cursor,
+                              *predictor, session);
+}
+
+TEST(SuiteResume, ParallelResumesFromFileCutAfterMidRowSnapshot)
+{
+    const SuiteResult baseline = runBaseline();
+
+    // The file a four-thread run with a 2000-record cadence leaves
+    // when killed right after a snapshot: no completed cell, and every
+    // column of both rows in flight at the same multiple of the
+    // cadence.
+    SuiteOptions options = baseOptions();
+    options.threads = 4;
+    options.checkpointEvery = 2000;
+    options.checkpointPath = scratchPath("parallel_mid_row");
+    options.resume = true;
+    const auto profiles = testProfiles();
+    SuiteProgress progress;
+    progress.fingerprint =
+        suiteFingerprint(profiles, kPredictors, options);
+    for (const auto &profile : profiles)
+        for (const auto &name : kPredictors)
+            progress.partials.push_back(
+                partialAt(profile, name, options, 6000));
+    ASSERT_TRUE(writeCheckpointFile(options.checkpointPath,
+                                    encodeSuiteProgress(progress))
+                    .ok());
+
+    util::resetWarnCount();
+    const SuiteResult resumed =
+        runSuite(profiles, kPredictors, options);
+    EXPECT_EQ(util::warnCount(), 0u) << "every snapshot must restore";
+    expectSameResult(baseline, resumed, "parallel mid-row resume");
+
+    // The finished file holds every cell and no stale snapshot.
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(readCheckpointFile(options.checkpointPath, bytes).ok());
+    SuiteProgress finished;
+    ASSERT_TRUE(decodeSuiteProgress(bytes, finished).ok());
+    EXPECT_EQ(finished.cells.size(),
+              profiles.size() * kPredictors.size());
+    EXPECT_TRUE(finished.partials.empty());
+    std::remove(options.checkpointPath.c_str());
+}
+
+TEST(SuiteResume, ColumnsOfOneRowResumeAtDifferentCursors)
+{
+    // Timelines on, so the restored samplers' partial windows are
+    // exercised too.
+    SuiteOptions options = baseOptions();
+    options.engine.timeline.interval = 1500;
+    const auto profiles = testProfiles();
+    const SuiteResult baseline =
+        runSuite(profiles, kPredictors, options);
+
+    // Row 0: BTB finished, PPM-hyb 1000 records in, Cascade 7000 in
+    // (cursors off any window boundary).  Row 1: untouched.
+    options.checkpointPath = scratchPath("mixed_cursors");
+    options.checkpointEvery = 2500;
+    options.resume = true;
+    SuiteProgress progress;
+    progress.fingerprint =
+        suiteFingerprint(profiles, kPredictors, options);
+    CompletedCell done;
+    done.row = profiles[0].fullName();
+    done.col = kPredictors[0];
+    done.cell = baseline.cells[0][0];
+    {
+        trace::TraceBuffer trace =
+            generateTrace(profiles[0], options.traceScale);
+        auto predictor = makePredictor(kPredictors[0]);
+        ReplaySession session(options.engine);
+        session.run(trace, *predictor);
+        session.snapshotProbes(done.probes, *predictor);
+        done.timeline = session.takeTimeline();
+    }
+    progress.cells.push_back(done);
+    progress.partials.push_back(
+        partialAt(profiles[0], kPredictors[1], options, 1000));
+    progress.partials.push_back(
+        partialAt(profiles[0], kPredictors[2], options, 7000));
+    ASSERT_TRUE(writeCheckpointFile(options.checkpointPath,
+                                    encodeSuiteProgress(progress))
+                    .ok());
+
+    util::resetWarnCount();
+    const SuiteResult resumed =
+        runSuite(profiles, kPredictors, options);
+    EXPECT_EQ(util::warnCount(), 0u) << "every snapshot must restore";
+    expectSameResult(baseline, resumed, "mixed-cursor resume");
+    EXPECT_EQ(resumed.timelines.size(), baseline.timelines.size());
+    for (const auto &[row, columns] : baseline.timelines)
+        for (const auto &[name, timeline] : columns) {
+            util::StateWriter want;
+            util::StateWriter got;
+            timeline.saveState(want);
+            resumed.timelines.at(row).at(name).saveState(got);
+            EXPECT_EQ(want.bytes(), got.bytes()) << row << " x " << name;
+        }
     std::remove(options.checkpointPath.c_str());
 }
 

@@ -9,8 +9,8 @@
  *  - warmup/steady-state segmentation on synthetic step/ramp/flat
  *    curves, and milestone derivation from counter series;
  *  - Timeline serde round trip plus corruption rejection;
- *  - suite-level bit-identity across every runner path (serial,
- *    parallel, one-pass serial, one-pass parallel);
+ *  - suite-level bit-identity between the suite scheduler at every
+ *    thread count and an independent whole-trace replay per cell;
  *  - straight-vs-resumed byte identity for the full factory lineup,
  *    splitting mid-window so the sampler's partial-window state is
  *    actually exercised;
@@ -307,32 +307,35 @@ timelineMatrixBytes(const SuiteResult &result)
     return bytes;
 }
 
-TEST(TimelineSuite, AllFourRunnerPathsProduceIdenticalBytes)
+TEST(TimelineSuite, ThreadCountsMatchPerCellReplayBytes)
 {
-    SuiteOptions options = timelineSuiteOptions();
-    clearTraceCache();
-    const auto baseline = timelineMatrixBytes(
-        runSuite(suiteProfiles(), kSuitePredictors, options));
-    ASSERT_EQ(baseline.size(),
-              suiteProfiles().size() * kSuitePredictors.size())
-        << "every cell must carry a timeline when sampling is on";
+    // The reference: one whole-trace Engine::run per cell, whose
+    // windows close inside a single unbounded replay.
+    const SuiteOptions options = timelineSuiteOptions();
+    std::map<std::string, std::vector<std::uint8_t>> baseline;
+    for (const auto &profile : suiteProfiles()) {
+        const trace::TraceBuffer trace =
+            generateTrace(profile, options.traceScale);
+        for (const auto &name : kSuitePredictors) {
+            auto predictor = makePredictor(name);
+            trace::ReplaySource source(trace);
+            obs::Timeline timeline;
+            Engine(options.engine)
+                .run(source, *predictor, nullptr, &timeline);
+            baseline[profile.fullName() + " x " + name] =
+                timelineBytes(timeline);
+        }
+    }
 
-    struct Path
-    {
-        const char *label;
-        unsigned threads;
-        bool onePass;
-    };
-    for (const Path &path : {Path{"parallel", 4, false},
-                             Path{"one-pass serial", 1, true},
-                             Path{"one-pass parallel", 4, true}}) {
-        SuiteOptions variant = timelineSuiteOptions();
-        variant.threads = path.threads;
-        variant.onePass = path.onePass;
-        clearTraceCache();
+    for (unsigned threads : {1u, 2u, 3u, 8u}) {
+        SuiteOptions variant = options;
+        variant.threads = threads;
         const auto got = timelineMatrixBytes(
             runSuite(suiteProfiles(), kSuitePredictors, variant));
-        EXPECT_EQ(got, baseline) << path.label;
+        ASSERT_EQ(got.size(),
+                  suiteProfiles().size() * kSuitePredictors.size())
+            << "every cell must carry a timeline when sampling is on";
+        EXPECT_EQ(got, baseline) << "threads=" << threads;
     }
 }
 

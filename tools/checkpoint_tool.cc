@@ -170,17 +170,14 @@ inspect(const std::string &path)
         std::cout << "    (" << cell.row << ", " << cell.col
                   << ")  miss " << cell.cell.missPercent << "%  over "
                   << cell.cell.predictions << " predictions\n";
-    if (progress.partial.valid)
-        std::cout << "  partial cell (" << progress.partial.row << ", "
-                  << progress.partial.col << ") at record "
-                  << progress.partial.cursor << " ("
-                  << progress.partial.predictorState.size()
-                  << " predictor bytes, "
-                  << progress.partial.engineState.size()
-                  << " engine bytes, "
-                  << progress.partial.probeState.size()
+    for (const auto &partial : progress.partials)
+        std::cout << "  partial cell (" << partial.row << ", "
+                  << partial.col << ") at record " << partial.cursor
+                  << " (" << partial.predictorState.size()
+                  << " predictor bytes, " << partial.engineState.size()
+                  << " engine bytes, " << partial.probeState.size()
                   << " probe bytes)\n";
-    else
+    if (progress.partials.empty())
         std::cout << "  no partial cell\n";
     return 0;
 }
@@ -295,9 +292,11 @@ diffSuite(const sim::SuiteProgress &a, const sim::SuiteProgress &b,
         if (a.find(cell.row, cell.col) == nullptr)
             diff.failure("cell (" + cell.row + ", " + cell.col +
                          ") only in the second file");
-    if (a.partial.valid != b.partial.valid)
-        diff.note("partial cell present in only one file "
-                  "(informational)");
+    if (a.partials.size() != b.partials.size())
+        diff.note("in-flight partial cells differ: " +
+                  std::to_string(a.partials.size()) + " vs " +
+                  std::to_string(b.partials.size()) +
+                  " (informational)");
 }
 
 int
