@@ -1,6 +1,5 @@
 #include "predictors/gap.hh"
 
-#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace ibp::pred {
@@ -16,20 +15,6 @@ Gap::Gap(const GapConfig &config, std::string name)
         phts_.emplace_back(config.entriesPerPht);
 }
 
-Gap::Slot
-Gap::slotFor(trace::Addr pc) const
-{
-    // Per-address table selection uses pc bits above the ones the
-    // gshare index consumes, so neighbouring branches spread across
-    // PHTs.
-    const std::uint64_t hashed = (pc >> 2) ^ history_.value();
-    Slot slot;
-    slot.index = util::reduceIndex(hashed, config_.entriesPerPht);
-    slot.pht = util::reduceIndex((pc >> 2) / config_.entriesPerPht,
-                                 config_.numPhts);
-    return slot;
-}
-
 Prediction
 Gap::predict(trace::Addr pc)
 {
@@ -43,12 +28,6 @@ Gap::update(trace::Addr pc, trace::Addr target)
 {
     (void)pc; // trained at the slot captured by the preceding predict()
     phts_[lastSlot.pht].at(lastSlot.index).train(target);
-}
-
-void
-Gap::observe(const trace::BranchRecord &record)
-{
-    history_.observe(record);
 }
 
 std::uint64_t

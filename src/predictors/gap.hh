@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bitops.hh"
 #include "util/table.hh"
 #include "predictors/path_history.hh"
 #include "predictors/predictor.hh"
@@ -32,8 +33,9 @@ struct GapConfig
     StreamSel stream = StreamSel::MtIndirect;
 };
 
-/** Two-level GAp predictor with gshare indexing. */
-class Gap : public IndirectPredictor
+/** Two-level GAp predictor with gshare indexing.  Final, and on the
+ *  engine's devirtualized replay path. */
+class Gap final : public IndirectPredictor
 {
   public:
     explicit Gap(const GapConfig &config, std::string name = "GAp");
@@ -41,7 +43,26 @@ class Gap : public IndirectPredictor
     std::string name() const override { return name_; }
     Prediction predict(trace::Addr pc) override;
     void update(trace::Addr pc, trace::Addr target) override;
-    void observe(const trace::BranchRecord &record) override;
+
+    /** Fused path: one slot resolution for the read and the train.
+     *  It still records lastSlot, which saveState() serializes, so the
+     *  state after the call is identical to predict();update(). */
+    Prediction
+    predictAndUpdate(trace::Addr pc, trace::Addr target) override
+    {
+        lastSlot = slotFor(pc);
+        TargetEntry &entry = phts_[lastSlot.pht].at(lastSlot.index);
+        const Prediction prediction{entry.valid, entry.target};
+        entry.train(target);
+        return prediction;
+    }
+
+    void
+    observe(const trace::BranchRecord &record) override
+    {
+        history_.observe(record);
+    }
+
     std::uint64_t storageBits() const override;
     void reset() override;
     void saveState(util::StateWriter &writer) const override;
@@ -65,7 +86,19 @@ class Gap : public IndirectPredictor
         std::uint64_t index;
     };
 
-    Slot slotFor(trace::Addr pc) const;
+    Slot
+    slotFor(trace::Addr pc) const
+    {
+        // Per-address table selection uses pc bits above the ones the
+        // gshare index consumes, so neighbouring branches spread
+        // across PHTs.
+        const std::uint64_t hashed = (pc >> 2) ^ history_.value();
+        Slot slot;
+        slot.index = util::reduceIndex(hashed, config_.entriesPerPht);
+        slot.pht = util::reduceIndex((pc >> 2) / config_.entriesPerPht,
+                                     config_.numPhts);
+        return slot;
+    }
 
     GapConfig config_;
     std::string name_;

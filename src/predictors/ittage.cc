@@ -1,5 +1,6 @@
 #include "predictors/ittage.hh"
 
+#include <bit>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -12,8 +13,9 @@ Ittage::Ittage(const IttageConfig &config, std::string name)
       base_(config.baseEntries)
 {
     fatal_if(config.baseEntries == 0, "ITTAGE needs a base table");
-    fatal_if(config.numComponents == 0,
-             "ITTAGE needs at least one tagged component");
+    fatal_if(config.numComponents == 0 ||
+                 config.numComponents > kMaxComponents,
+             "ITTAGE tagged-component count out of range");
     fatal_if(config.entriesPerComponent == 0,
              "ITTAGE needs non-empty tagged components");
     fatal_if(config.tagBits < 2 || config.tagBits > 30,
@@ -78,14 +80,19 @@ Ittage::indexFor(std::size_t component, trace::Addr pc) const
 }
 
 std::uint32_t
-Ittage::tagFor(std::size_t component, trace::Addr pc) const
+Ittage::tagWith(std::size_t component, std::uint64_t pc_fold) const
 {
-    const std::uint64_t tag =
-        util::foldXor(pc >> 2, 34, config_.tagBits) ^
-        tagFoldsA_[component].value() ^
-        (tagFoldsB_[component].value() << 1);
+    const std::uint64_t tag = pc_fold ^ tagFoldsA_[component].value() ^
+                              (tagFoldsB_[component].value() << 1);
     return static_cast<std::uint32_t>(
         util::selectLow(tag, config_.tagBits));
+}
+
+std::uint32_t
+Ittage::tagFor(std::size_t component, trace::Addr pc) const
+{
+    return tagWith(component,
+                   util::foldXor(pc >> 2, 34, config_.tagBits));
 }
 
 Ittage::Lookup
@@ -93,25 +100,42 @@ Ittage::lookupFor(trace::Addr pc) const
 {
     Lookup look;
     look.baseIndex = base_.reduce(pc >> 2);
-    for (std::size_t i = config_.numComponents; i-- > 0;) {
-        const IttageEntry &entry =
-            components_[i].at(indexFor(i, pc));
-        if (!entry.valid || entry.tag != tagFor(i, pc))
-            continue;
-        if (look.provider == kBase) {
-            look.provider = i;
-            look.prediction = {true, entry.target};
-        } else {
-            look.altpred = i;
-            look.alternate = {true, entry.target};
-            break;
-        }
+    // Resolve every component's slot: training reuses them (the
+    // provider's line, and the allocation candidates above it).  The
+    // pc's fold is the same for every component's tag, so it is
+    // computed once.  Which lines match is data-dependent, so the
+    // provider (longest matching component) and alternate (next
+    // longest) come from a match mask, not a branch per component.
+    const std::uint64_t pc_fold =
+        util::foldXor(pc >> 2, 34, config_.tagBits);
+    std::uint32_t matches = 0;
+    for (std::size_t i = 0; i < config_.numComponents; ++i) {
+        const Slot slot{indexFor(i, pc), tagWith(i, pc_fold)};
+        const IttageEntry &entry = components_[i].at(slot.index);
+        matches |= static_cast<std::uint32_t>(entry.valid &
+                                              (entry.tag == slot.tag))
+                   << i;
+        look.slots[i] = slot;
     }
     const TargetEntry &fallback = base_.at(look.baseIndex);
-    if (look.provider == kBase)
-        look.prediction = {fallback.valid, fallback.target};
-    if (look.altpred == kBase && look.provider != kBase)
-        look.alternate = {fallback.valid, fallback.target};
+    const Prediction base{fallback.valid, fallback.target};
+    if (matches == 0) {
+        look.prediction = base;
+        return look;
+    }
+    const auto target_of = [&](std::size_t component) {
+        return components_[component].at(look.slots[component].index)
+            .target;
+    };
+    look.provider = static_cast<std::size_t>(std::bit_width(matches)) - 1;
+    look.prediction = {true, target_of(look.provider)};
+    const std::uint32_t below = matches & ~(1u << look.provider);
+    if (below == 0) {
+        look.alternate = base;
+    } else {
+        look.altpred = static_cast<std::size_t>(std::bit_width(below)) - 1;
+        look.alternate = {true, target_of(look.altpred)};
+    }
     return look;
 }
 
@@ -124,7 +148,7 @@ Ittage::providerComponent(trace::Addr pc) const
 Prediction
 Ittage::predict(trace::Addr pc)
 {
-    // Pure lookup: update() recomputes the same slots (histories only
+    // Pure lookup: update() resolves the same slots (histories only
     // advance in observe()), so predict() leaves no transient state.
     return lookupFor(pc).prediction;
 }
@@ -132,15 +156,27 @@ Ittage::predict(trace::Addr pc)
 void
 Ittage::update(trace::Addr pc, trace::Addr target)
 {
+    train(lookupFor(pc), target);
+}
+
+Prediction
+Ittage::predictAndUpdate(trace::Addr pc, trace::Addr target)
+{
     const Lookup look = lookupFor(pc);
+    train(look, target);
+    return look.prediction;
+}
+
+void
+Ittage::train(const Lookup &look, trace::Addr target)
+{
     const bool mispredict =
         !look.prediction.valid || look.prediction.target != target;
 
     if (look.provider != kBase) {
         taggedProvides_.bump();
-        IttageEntry &entry =
-            components_[look.provider].at(
-                indexFor(look.provider, pc));
+        IttageEntry &entry = components_[look.provider].at(
+            look.slots[look.provider].index);
         const bool correct = entry.target == target;
         // The useful counter moves only when the provider disagreed
         // with the alternate — that is when it carried information.
@@ -164,14 +200,14 @@ Ittage::update(trace::Addr pc, trace::Addr target)
     base_.at(look.baseIndex).train(target);
 
     if (mispredict)
-        allocate(pc, target, look.provider);
+        allocate(look, target);
 }
 
 void
-Ittage::allocate(trace::Addr pc, trace::Addr target,
-                 std::size_t provider)
+Ittage::allocate(const Lookup &look, trace::Addr target)
 {
-    const std::size_t start = provider == kBase ? 0 : provider + 1;
+    const std::size_t start =
+        look.provider == kBase ? 0 : look.provider + 1;
     if (start >= config_.numComponents)
         return; // the longest component already provided
 
@@ -180,12 +216,12 @@ Ittage::allocate(trace::Addr pc, trace::Addr target,
     // (Hardware TAGE randomizes here to break ping-pong; a replayed
     // simulation must not, and the determinism lint bans rand().)
     for (std::size_t j = start; j < config_.numComponents; ++j) {
-        IttageEntry &entry = components_[j].at(indexFor(j, pc));
+        IttageEntry &entry = components_[j].at(look.slots[j].index);
         if (entry.valid && !entry.useful.saturatedLow())
             continue;
         entry.valid = true;
         entry.target = target;
-        entry.tag = tagFor(j, pc);
+        entry.tag = look.slots[j].tag;
         entry.confidence.set(0);
         entry.useful.set(0);
         allocations_.bump();
@@ -195,15 +231,13 @@ Ittage::allocate(trace::Addr pc, trace::Addr target,
     // Every candidate was useful: age them all so the next
     // misprediction finds a victim, and record the stall.
     for (std::size_t j = start; j < config_.numComponents; ++j)
-        components_[j].at(indexFor(j, pc)).useful.decrement();
+        components_[j].at(look.slots[j].index).useful.decrement();
     allocationStalls_.bump();
 }
 
 void
-Ittage::observe(const trace::BranchRecord &record)
+Ittage::advanceHistories(const trace::BranchRecord &record)
 {
-    if (!inStream(config_.stream, record))
-        return;
     const auto symbol = static_cast<std::uint32_t>(
         pathSymbol(record, config_.bitsPerTarget));
     // Each component's folds drop the symbol leaving *its* window;

@@ -24,6 +24,7 @@
 #ifndef IBP_PREDICTORS_ITTAGE_HH_
 #define IBP_PREDICTORS_ITTAGE_HH_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -68,12 +69,23 @@ struct IttageEntry
  * rotateLeft(symbol, symbolBits * age), so pushing a symbol rotates
  * the whole word once after the outgoing symbol's contribution is
  * cancelled — O(1) per retired branch instead of O(length).
+ *
+ * Rotation is linear over XOR, so a push XORs three shifted terms
+ * into one wide word — the old value shifted by symbolBits, the
+ * outgoing symbol shifted by symbolBits * length (its position after
+ * this push, so it cancels), and the incoming symbol — and then folds
+ * the bits that spilled past @c width back in (TAGE's CSR update).
+ * Both shift amounts are fixed by the geometry, so they are reduced
+ * modulo the width once, here.
  */
 class FoldedHistory
 {
   public:
     FoldedHistory(unsigned width, unsigned length, unsigned symbol_bits)
-        : width_(width), length_(length), symbolBits(symbol_bits)
+        : width_(width), length_(length), mask_(util::maskLow(width)),
+          incomingRotation(util::reduceRotation(symbol_bits, width)),
+          outgoingRotation(
+              util::reduceRotation(symbol_bits * length, width))
     {
         panic_if(width == 0 || width > 32,
                  "FoldedHistory width out of range: ", width);
@@ -85,11 +97,12 @@ class FoldedHistory
     void
     push(std::uint32_t incoming, std::uint32_t outgoing)
     {
-        const std::uint64_t gone = util::rotateLeft(
-            outgoing, width_, symbolBits * (length_ - 1));
-        folded_ = util::rotateLeft(folded_ ^ gone, width_, symbolBits) ^
-                  util::selectLow(incoming, width_);
-        folded_ &= util::maskLow(width_);
+        // Every term is below 2^(2 * width) <= 2^64 (width <= 32), so
+        // one fold of the high half completes both rotations.
+        const std::uint64_t wide = (folded_ << incomingRotation) ^
+                                   ((outgoing & mask_) << outgoingRotation) ^
+                                   (incoming & mask_);
+        folded_ = (wide ^ (wide >> width_)) & mask_;
     }
 
     std::uint64_t value() const { return folded_; }
@@ -118,21 +131,44 @@ class FoldedHistory
   private:
     unsigned width_;
     unsigned length_;
-    unsigned symbolBits;
+    std::uint64_t mask_;
+    unsigned incomingRotation; ///< symbolBits mod width
+    unsigned outgoingRotation; ///< symbolBits * length mod width
     std::uint64_t folded_ = 0;
 };
 
-/** ITTAGE predictor: base table + tagged geometric-history components. */
-class Ittage : public IndirectPredictor
+/**
+ * ITTAGE predictor: base table + tagged geometric-history components.
+ *
+ * Final, and on the engine's devirtualized replay path: one lookup
+ * resolves every component's (index, tag) slot, and training reuses
+ * those slots instead of rehashing them.
+ */
+class Ittage final : public IndirectPredictor
 {
   public:
+    /** Upper bound on tagged components: lookups keep their per-
+     *  component slots in a fixed array, so no lookup allocates. */
+    static constexpr std::size_t kMaxComponents = 16;
+
     explicit Ittage(const IttageConfig &config,
                     std::string name = "ITTAGE");
 
     std::string name() const override { return name_; }
     Prediction predict(trace::Addr pc) override;
     void update(trace::Addr pc, trace::Addr target) override;
-    void observe(const trace::BranchRecord &record) override;
+    Prediction predictAndUpdate(trace::Addr pc,
+                                trace::Addr target) override;
+
+    /** Off-stream records (most of them) return here, inlined into
+     *  the replay loop; in-stream ones advance every fold. */
+    void
+    observe(const trace::BranchRecord &record) override
+    {
+        if (inStream(config_.stream, record))
+            advanceHistories(record);
+    }
+
     std::uint64_t storageBits() const override;
     void reset() override;
     void saveState(util::StateWriter &writer) const override;
@@ -165,21 +201,39 @@ class Ittage : public IndirectPredictor
     std::uint32_t tagFor(std::size_t component, trace::Addr pc) const;
 
   private:
-    /** Everything update() needs from the lookup predict() performed;
-     *  recomputed from pc because the histories only advance later, in
-     *  observe() — so predict() stays side-effect free. */
+    /** One tagged component's probe coordinates for a lookup. */
+    struct Slot
+    {
+        std::uint64_t index = 0;
+        std::uint32_t tag = 0;
+    };
+
+    /** Everything one lookup of a pc resolves.  The histories only
+     *  advance in observe(), so the slots a lookup computes are still
+     *  current when the same branch trains; predict() stays side-
+     *  effect free and update() recomputes nothing it can reuse. */
     struct Lookup
     {
         std::size_t provider = kBase;   ///< component index or kBase
         std::size_t altpred = kBase;    ///< next match below provider
-        Prediction prediction;          ///< what predict() returned
+        Prediction prediction;          ///< what predict() returns
         Prediction alternate;           ///< the alternate's target
         std::uint64_t baseIndex = 0;
+        /** Every component's (index, tag); [0, numComponents) valid. */
+        std::array<Slot, kMaxComponents> slots{};
     };
 
+    /** The one lookup routine behind predict(), update(),
+     *  predictAndUpdate() and providerComponent(). */
     Lookup lookupFor(trace::Addr pc) const;
-    void allocate(trace::Addr pc, trace::Addr target,
-                  std::size_t provider);
+    /** The one training routine behind update() and
+     *  predictAndUpdate(), on the slots @p look resolved. */
+    void train(const Lookup &look, trace::Addr target);
+    void allocate(const Lookup &look, trace::Addr target);
+    void advanceHistories(const trace::BranchRecord &record);
+    /** A component's tag given the pc's fold (shared by all). */
+    std::uint32_t tagWith(std::size_t component,
+                          std::uint64_t pc_fold) const;
 
     IttageConfig config_;
     std::string name_;

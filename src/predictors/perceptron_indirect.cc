@@ -8,6 +8,7 @@ PerceptronIndirect::PerceptronIndirect(
     const PerceptronIndirectConfig &config, std::string name)
     : config_(config), name_(std::move(name)),
       maxWeight_((1 << (config.weightBits - 1)) - 1),
+      half_(config.numTables / 2),
       pibHistory_(config.pibHistoryBits, config.pibBitsPerTarget,
                   StreamSel::MtIndirect),
       pbHistory_(config.pbHistoryBits, config.pbBitsPerTarget,
@@ -24,9 +25,12 @@ PerceptronIndirect::PerceptronIndirect(
              "perceptron threshold must be non-negative");
     fatal_if(config.candidateTagBits < 2 || config.candidateTagBits > 30,
              "perceptron candidate tag width out of range");
+    pibSegmentBits_ = config.pibHistoryBits / static_cast<unsigned>(half_);
+    pbSegmentBits_ = config.pbHistoryBits / static_cast<unsigned>(half_);
     weights_.reserve(config.numTables);
     for (std::size_t i = 0; i < config.numTables; ++i)
         weights_.emplace_back(config.entriesPerTable);
+    tableHashes_.assign(config.numTables, 0);
 }
 
 std::uint64_t
@@ -43,26 +47,33 @@ PerceptronIndirect::candidateTag(trace::Addr target) const
 }
 
 std::uint64_t
+PerceptronIndirect::tableHash(std::size_t table, trace::Addr pc) const
+{
+    // Half the tables read PIB-register segments, half PB-register
+    // segments; the target fold is XOR-ed in per candidate, so the
+    // same weights discriminate between candidates.
+    const bool pib = table < half_;
+    const std::uint64_t history =
+        pib ? pibHistory_.value() : pbHistory_.value();
+    const unsigned segmentBits = pib ? pibSegmentBits_ : pbSegmentBits_;
+    const auto lane = static_cast<unsigned>(pib ? table : table - half_);
+    const std::uint64_t segment =
+        util::bitsRange(history, lane * segmentBits, segmentBits);
+    return (pc >> 2) ^ (segment << 1) ^ (table * 0x9E37ull);
+}
+
+std::uint64_t
+PerceptronIndirect::targetFold(trace::Addr target)
+{
+    return util::foldXor(target >> 2, 40, 16);
+}
+
+std::uint64_t
 PerceptronIndirect::featureIndex(std::size_t table, trace::Addr pc,
                                  trace::Addr target) const
 {
-    // Half the tables read PIB-register segments, half PB-register
-    // segments; every hash mixes the pc and a fold of the candidate
-    // target so the same weights discriminate between candidates.
-    const std::size_t half = config_.numTables / 2;
-    const bool pib = table < half;
-    const ShiftHistory &history = pib ? pibHistory_ : pbHistory_;
-    const std::size_t lane = pib ? table : table - half;
-    const unsigned segmentBits =
-        history.bits() / static_cast<unsigned>(half);
-    const std::uint64_t segment = util::bitsRange(
-        history.value(), static_cast<unsigned>(lane) * segmentBits,
-        segmentBits);
-    const std::uint64_t folded =
-        util::foldXor(target >> 2, 40, 16);
-    const std::uint64_t hash = (pc >> 2) ^ (segment << 1) ^ folded ^
-                               (table * 0x9E37ull);
-    return weights_[table].reduce(hash);
+    return weights_[table].reduce(tableHash(table, pc) ^
+                                  targetFold(target));
 }
 
 int
@@ -74,36 +85,69 @@ PerceptronIndirect::score(trace::Addr pc, trace::Addr target) const
     return sum;
 }
 
+int
+PerceptronIndirect::weightSum(std::uint64_t fold) const
+{
+    int sum = 0;
+    for (std::size_t i = 0; i < config_.numTables; ++i)
+        sum += weights_[i].at(weights_[i].reduce(tableHashes_[i] ^ fold));
+    return sum;
+}
+
+PerceptronIndirect::Scoring
+PerceptronIndirect::scoreCandidates(trace::Addr pc)
+{
+    // No LRU touch and no state beyond the hash scratch: histories
+    // only advance in observe(), so predict() stays repeatable and a
+    // following train() finds every hash still current.
+    for (std::size_t i = 0; i < config_.numTables; ++i)
+        tableHashes_[i] = tableHash(i, pc);
+    Scoring scoring;
+    scoring.set = candidateSet(pc);
+    for (std::size_t way = 0; way < candidates_.ways(); ++way) {
+        const TargetEntry &candidate =
+            candidates_.wayEntry(scoring.set, way);
+        if (!candidate.valid)
+            continue;
+        const std::uint64_t fold = targetFold(candidate.target);
+        const int sum = weightSum(fold);
+        // Strict comparison: ties resolve to the lowest way, keeping
+        // the choice deterministic under replay.
+        if (!scoring.prediction.valid || sum > scoring.score) {
+            scoring.prediction = {true, candidate.target};
+            scoring.score = sum;
+            scoring.fold = fold;
+        }
+    }
+    return scoring;
+}
+
 Prediction
 PerceptronIndirect::predict(trace::Addr pc)
 {
-    // Pure scan: no LRU touch, no transient slot — update() recomputes
-    // the same candidates because histories only advance in observe().
-    const std::uint64_t set = candidateSet(pc);
-    Prediction best;
-    int bestScore = 0;
-    for (std::size_t way = 0; way < candidates_.ways(); ++way) {
-        const TargetEntry &candidate = candidates_.wayEntry(set, way);
-        if (!candidate.valid)
-            continue;
-        const int sum = score(pc, candidate.target);
-        // Strict comparison: ties resolve to the lowest way, keeping
-        // the choice deterministic under replay.
-        if (!best.valid || sum > bestScore) {
-            best = {true, candidate.target};
-            bestScore = sum;
-        }
-    }
-    return best;
+    return scoreCandidates(pc).prediction;
 }
 
 void
-PerceptronIndirect::adjustWeights(trace::Addr pc, trace::Addr target,
-                                  int delta)
+PerceptronIndirect::update(trace::Addr pc, trace::Addr target)
+{
+    train(scoreCandidates(pc), target);
+}
+
+Prediction
+PerceptronIndirect::predictAndUpdate(trace::Addr pc, trace::Addr target)
+{
+    const Scoring scoring = scoreCandidates(pc);
+    train(scoring, target);
+    return scoring.prediction;
+}
+
+void
+PerceptronIndirect::adjustWeights(std::uint64_t fold, int delta)
 {
     for (std::size_t i = 0; i < config_.numTables; ++i) {
         std::int8_t &weight =
-            weights_[i].at(featureIndex(i, pc, target));
+            weights_[i].at(weights_[i].reduce(tableHashes_[i] ^ fold));
         int adjusted = weight + delta;
         // Saturate symmetrically so +w and -w training are mirrors.
         if (adjusted > maxWeight_)
@@ -116,38 +160,34 @@ PerceptronIndirect::adjustWeights(trace::Addr pc, trace::Addr target,
 }
 
 void
-PerceptronIndirect::update(trace::Addr pc, trace::Addr target)
+PerceptronIndirect::train(const Scoring &scoring, trace::Addr target)
 {
-    const Prediction prediction = predict(pc);
+    const Prediction &prediction = scoring.prediction;
     const bool mispredict =
         !prediction.valid || prediction.target != target;
 
     // Perceptron rule: train on every mispredict, and on correct
-    // predictions whose margin is still below the threshold.
-    if (mispredict || score(pc, target) < config_.trainingThreshold) {
-        adjustWeights(pc, target, +1);
+    // predictions whose margin is still below the threshold.  A
+    // correct prediction's target is the best candidate, so its score
+    // and fold are the ones the scoring pass kept.
+    if (mispredict || scoring.score < config_.trainingThreshold) {
+        // Both adjustments run in full, in this order: a +1 and a -1
+        // landing on the same weight saturate one after the other.
+        adjustWeights(mispredict ? targetFold(target) : scoring.fold, +1);
         if (prediction.valid && prediction.target != target)
-            adjustWeights(pc, prediction.target, -1);
+            adjustWeights(scoring.fold, -1);
     }
 
     // Keep the candidate cache warm: promote the actual target to MRU
     // or install it over the LRU way.
-    const std::uint64_t set = candidateSet(pc);
     const std::uint64_t tag = candidateTag(target);
-    if (TargetEntry *entry = candidates_.lookup(set, tag)) {
+    if (TargetEntry *entry = candidates_.lookup(scoring.set, tag)) {
         entry->train(target);
     } else {
         TargetEntry fresh;
         fresh.train(target);
-        candidates_.insert(set, tag, fresh);
+        candidates_.insert(scoring.set, tag, fresh);
     }
-}
-
-void
-PerceptronIndirect::observe(const trace::BranchRecord &record)
-{
-    pibHistory_.observe(record);
-    pbHistory_.observe(record);
 }
 
 std::uint64_t

@@ -52,8 +52,16 @@ struct PerceptronIndirectConfig
     unsigned pbBitsPerTarget = 2;
 };
 
-/** Hashed-perceptron target selection over a candidate cache. */
-class PerceptronIndirect : public IndirectPredictor
+/**
+ * Hashed-perceptron target selection over a candidate cache.
+ *
+ * Final, and on the engine's devirtualized replay path.  A feature
+ * index is a per-table hash of the pc and history XOR-ed with a fold
+ * of the candidate target, so one scoring pass hashes each table once
+ * and each candidate once; training reuses the chosen candidate's
+ * fold and score instead of rehashing them.
+ */
+class PerceptronIndirect final : public IndirectPredictor
 {
   public:
     explicit PerceptronIndirect(const PerceptronIndirectConfig &config,
@@ -62,7 +70,16 @@ class PerceptronIndirect : public IndirectPredictor
     std::string name() const override { return name_; }
     Prediction predict(trace::Addr pc) override;
     void update(trace::Addr pc, trace::Addr target) override;
-    void observe(const trace::BranchRecord &record) override;
+    Prediction predictAndUpdate(trace::Addr pc,
+                                trace::Addr target) override;
+
+    void
+    observe(const trace::BranchRecord &record) override
+    {
+        pibHistory_.observe(record);
+        pbHistory_.observe(record);
+    }
+
     std::uint64_t storageBits() const override;
     void reset() override;
     void saveState(util::StateWriter &writer) const override;
@@ -84,17 +101,46 @@ class PerceptronIndirect : public IndirectPredictor
     int maxWeight() const { return maxWeight_; }
 
   private:
+    /** What one scoring pass over a pc's candidate set resolves. */
+    struct Scoring
+    {
+        std::uint64_t set = 0;   ///< candidate-cache set of the pc
+        Prediction prediction;   ///< best candidate (invalid: none)
+        int score = 0;           ///< the best candidate's sum
+        std::uint64_t fold = 0;  ///< the best candidate's target fold
+    };
+
     std::uint64_t candidateSet(trace::Addr pc) const;
     std::uint64_t candidateTag(trace::Addr target) const;
-    void adjustWeights(trace::Addr pc, trace::Addr target, int delta);
+    /** The target-independent part of table @p table's feature hash
+     *  for @p pc under the current histories. */
+    std::uint64_t tableHash(std::size_t table, trace::Addr pc) const;
+    /** The candidate-target part of every feature hash. */
+    static std::uint64_t targetFold(trace::Addr target);
+
+    /** The one scoring routine behind predict(), update() and
+     *  predictAndUpdate(); leaves each table's hash in tableHashes_. */
+    Scoring scoreCandidates(trace::Addr pc);
+    /** The one training routine behind update() and
+     *  predictAndUpdate(), on the hashes @p scoring left behind. */
+    void train(const Scoring &scoring, trace::Addr target);
+    /** Sum of the weights a target with fold @p fold selects. */
+    int weightSum(std::uint64_t fold) const;
+    void adjustWeights(std::uint64_t fold, int delta);
 
     PerceptronIndirectConfig config_;
     std::string name_;
     int maxWeight_;
+    std::size_t half_;            ///< PIB tables; the rest read PB
+    unsigned pibSegmentBits_ = 0; ///< history bits per PIB feature
+    unsigned pbSegmentBits_ = 0;  ///< history bits per PB feature
     ShiftHistory pibHistory_;
     ShiftHistory pbHistory_;
     util::AssocTable<TargetEntry> candidates_;
     std::vector<util::DirectTable<std::int8_t>> weights_;
+    /** Scratch, not predictor state: tableHash() of every table for
+     *  the branch being scored (sized once, never saved). */
+    std::vector<std::uint64_t> tableHashes_;
     util::Counter weightUpdates_;
 };
 

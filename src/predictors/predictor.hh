@@ -79,8 +79,16 @@ class IndirectPredictor
      * virtual call.  The replay engine always predicts and trains the
      * same branch back to back, so this is the call it actually makes;
      * the default shim makes it exactly equivalent to the two-call
-     * protocol.  Predictors whose predict and update touch the same
-     * table slot (the BTB family) override it to locate the slot once.
+     * protocol.  Every type on the engine's devirtualized list
+     * (sim/engine.cc) overrides it so a predicted branch costs one
+     * direct call, and most also skip work update() would redo: the
+     * BTB family, GAp and the Target Cache resolve their table slot
+     * once; Dpath, Cascade and Filtered-PPM consume the slots
+     * predict() cached; ITTAGE trains on one lookup's per-component
+     * (index, tag) slots and the perceptron on one scoring pass's
+     * feature hashes.  An override must leave state and probe
+     * counters byte-identical to the split calls (checked by
+     * tests/test_one_pass_suite.cc and the lineup property tests).
      */
     virtual Prediction
     predictAndUpdate(trace::Addr pc, trace::Addr target)

@@ -18,7 +18,7 @@ TargetCache::TargetCache(const TargetCacheConfig &config, std::string name)
 Prediction
 TargetCache::predict(trace::Addr pc)
 {
-    lastIndex = table_.reduce((pc >> 2) ^ history_.value());
+    lastIndex = indexFor(pc);
     const Entry &entry = table_.at(lastIndex);
     return {entry.valid, entry.target};
 }
@@ -30,12 +30,6 @@ TargetCache::update(trace::Addr pc, trace::Addr target)
     Entry &entry = table_.at(lastIndex);
     entry.valid = true;
     entry.target = target;
-}
-
-void
-TargetCache::observe(const trace::BranchRecord &record)
-{
-    history_.observe(record);
 }
 
 std::uint64_t

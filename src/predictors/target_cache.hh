@@ -30,8 +30,9 @@ struct TargetCacheConfig
     StreamSel stream = StreamSel::MtIndirect;
 };
 
-/** Tagless Target Cache with selectable correlation stream. */
-class TargetCache : public IndirectPredictor
+/** Tagless Target Cache with selectable correlation stream.  Final,
+ *  and on the engine's devirtualized replay path. */
+class TargetCache final : public IndirectPredictor
 {
   public:
     explicit TargetCache(const TargetCacheConfig &config,
@@ -40,7 +41,27 @@ class TargetCache : public IndirectPredictor
     std::string name() const override { return name_; }
     Prediction predict(trace::Addr pc) override;
     void update(trace::Addr pc, trace::Addr target) override;
-    void observe(const trace::BranchRecord &record) override;
+
+    /** Fused path: one index resolution for the read and the write.
+     *  It still records lastIndex, which saveState() serializes, so
+     *  the state after the call is identical to predict();update(). */
+    Prediction
+    predictAndUpdate(trace::Addr pc, trace::Addr target) override
+    {
+        lastIndex = indexFor(pc);
+        Entry &entry = table_.at(lastIndex);
+        const Prediction prediction{entry.valid, entry.target};
+        entry.valid = true;
+        entry.target = target;
+        return prediction;
+    }
+
+    void
+    observe(const trace::BranchRecord &record) override
+    {
+        history_.observe(record);
+    }
+
     std::uint64_t storageBits() const override;
     void reset() override;
     void saveState(util::StateWriter &writer) const override;
@@ -62,6 +83,12 @@ class TargetCache : public IndirectPredictor
         bool valid = false;
         trace::Addr target = 0;
     };
+
+    std::uint64_t
+    indexFor(trace::Addr pc) const
+    {
+        return table_.reduce((pc >> 2) ^ history_.value());
+    }
 
     TargetCacheConfig config_;
     std::string name_;

@@ -5,6 +5,10 @@
 #include "predictors/btb.hh"
 #include "predictors/cascade.hh"
 #include "predictors/dpath.hh"
+#include "predictors/gap.hh"
+#include "predictors/ittage.hh"
+#include "predictors/perceptron_indirect.hh"
+#include "predictors/target_cache.hh"
 #include "core/filtered_ppm.hh"
 #include "core/ppm_predictor.hh"
 
@@ -148,8 +152,10 @@ void
 ReplaySession::feed(const trace::BranchRecord *span, std::size_t n,
                     pred::IndirectPredictor &predictor)
 {
-    withConcreteType<pred::Btb, pred::Btb2b, core::PpmPredictor,
-                     pred::Dpath, pred::Cascade, core::FilteredPpm>(
+    withConcreteType<pred::Btb, pred::Btb2b, pred::Gap,
+                     pred::TargetCache, core::PpmPredictor, pred::Dpath,
+                     pred::Cascade, core::FilteredPpm, pred::Ittage,
+                     pred::PerceptronIndirect>(
         predictor, [&](auto &concrete) {
             if (!sampler_.enabled()) {
                 replaySpan(span, n, config_, concrete, ras_, metrics_);

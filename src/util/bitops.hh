@@ -73,6 +73,15 @@ rotateLeft(std::uint64_t value, unsigned width, unsigned amount)
            maskLow(width);
 }
 
+/** A rotation by @p amount of a @p width-bit word, reduced to the
+ *  equivalent amount in [0, width); width 0 yields 0.  Lets hot loops
+ *  whose rotation is fixed by their geometry reduce it once. */
+constexpr unsigned
+reduceRotation(unsigned amount, unsigned width)
+{
+    return width == 0 ? 0 : amount % width;
+}
+
 /**
  * Reverse the order of the low @p width bits of @p value.  Used by the
  * Dpath predictor's reverse-interleaving index (Driesen & Holzle).

@@ -3,6 +3,8 @@
  * Tests for the per-branch correlation study.
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "workload/profiles.hh"
@@ -81,7 +83,8 @@ TEST(BranchStudy, PbOnlyCorrelationClassifiedPb)
     TraceBuffer buf;
     int state = 9;
     for (int i = 0; i < 3000; ++i) {
-        state = state * 1103515245 + 12345;
+        state = static_cast<int>(
+            static_cast<std::uint32_t>(state) * 1103515245u + 12345u);
         const bool taken = (state >> 16) & 1;
         buf.push(cond(0x120000900, 0x120000a00, taken));
         buf.push(mtJmp(0x120000040,
@@ -105,7 +108,8 @@ TEST(BranchStudy, PibCorrelationVisibleToBothClassifiedEither)
     int state = 3;
     ibp::trace::Addr marker = 0x120001004;
     for (int i = 0; i < 3000; ++i) {
-        state = state * 1103515245 + 12345;
+        state = static_cast<int>(
+            static_cast<std::uint32_t>(state) * 1103515245u + 12345u);
         marker = ((state >> 16) & 1) ? 0x120001004 : 0x120001148;
         buf.push(mtJmp(0x120000900, marker));
         buf.push(mtJmp(0x120000040, marker == 0x120001004
@@ -133,7 +137,8 @@ TEST(BranchStudy, PibBeyondPbWindowClassifiedPib)
     int state = 5;
     std::vector<ibp::trace::Addr> recent(8, 0x120001004);
     for (int i = 0; i < 4000; ++i) {
-        state = state * 1103515245 + 12345;
+        state = static_cast<int>(
+            static_cast<std::uint32_t>(state) * 1103515245u + 12345u);
         const ibp::trace::Addr marker =
             ((state >> 16) & 1) ? 0x120001004 : 0x120001148;
         buf.push(mtJmp(0x120000900, marker));
@@ -170,7 +175,8 @@ TEST(BranchStudy, UnpredictableSiteClassified)
     TraceBuffer buf;
     int state = 77;
     for (int i = 0; i < 3000; ++i) {
-        state = state * 1103515245 + 12345;
+        state = static_cast<int>(
+            static_cast<std::uint32_t>(state) * 1103515245u + 12345u);
         buf.push(mtJmp(0x120000040,
                        0x120002000 + ((state >> 16) % 8) * 64));
     }

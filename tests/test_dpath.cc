@@ -3,6 +3,8 @@
  * Tests for the PathComponent and the dual-path hybrid.
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "predictors/dpath.hh"
@@ -144,7 +146,8 @@ TEST(Dpath, AdaptsPathLengthPerBranch)
     int misses_late = 0;
     int phase_state = 12345;
     for (int i = 0; i < 3000; ++i) {
-        phase_state = phase_state * 1103515245 + 12345;
+        phase_state = static_cast<int>(
+            static_cast<std::uint32_t>(phase_state) * 1103515245u + 12345u);
         const int phase = (phase_state >> 16) & 1;
         // marker (3rd-back), then two noise indirects, then the branch
         dpath.observe(mtJmp(0x120000900, markers[phase]));

@@ -3,6 +3,8 @@
  * Tests for the filtered PPM extension (paper Section 6 future work).
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/filtered_ppm.hh"
@@ -70,7 +72,8 @@ TEST(FilteredPpm, PolymorphicBranchPromotesToPpm)
     int late_misses = 0;
     int state = 5;
     for (int i = 0; i < 4000; ++i) {
-        state = state * 1103515245 + 12345;
+        state = static_cast<int>(
+            static_cast<std::uint32_t>(state) * 1103515245u + 12345u);
         const int phase = (state >> 16) & 1;
         fppm.observe(mtJmp(0x120000900, markers[phase]));
         const Prediction p = fppm.predict(pc);
@@ -95,7 +98,8 @@ TEST(FilteredPpm, FilterShieldsPpmFromMonomorphicPollution)
     int state = 5;
     std::uint64_t mono_accesses_before = 0;
     for (int i = 0; i < 2000; ++i) {
-        state = state * 1103515245 + 12345;
+        state = static_cast<int>(
+            static_cast<std::uint32_t>(state) * 1103515245u + 12345u);
         const int phase = (state >> 16) & 1;
         // Three monomorphic branches.
         for (int m = 0; m < 3; ++m) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/probe.hh"
 #include "util/serde.hh"
 #include "predictors/ittage.hh"
 
@@ -52,6 +53,27 @@ stateBytes(const Ittage &predictor)
     ibp::util::StateWriter writer;
     predictor.saveState(writer);
     return writer.bytes();
+}
+
+std::vector<std::uint8_t>
+probeBytes(const Ittage &predictor)
+{
+    ibp::util::StateWriter writer;
+    predictor.saveProbes(writer);
+    return writer.bytes();
+}
+
+/** Train @p split through predict() then update() and @p fused
+ *  through predictAndUpdate(); both must predict the same target. */
+void
+stepBoth(Ittage &split, Ittage &fused, ibp::trace::Addr pc,
+         ibp::trace::Addr target)
+{
+    const Prediction a = split.predict(pc);
+    split.update(pc, target);
+    const Prediction b = fused.predictAndUpdate(pc, target);
+    EXPECT_EQ(a.valid, b.valid);
+    EXPECT_EQ(a.target, b.target);
 }
 
 TEST(Ittage, ColdMissAndName)
@@ -126,6 +148,44 @@ TEST(Ittage, FoldedHistoryCancelsOutgoingSymbolsExactly)
     EXPECT_EQ(longLived.value() & ~ibp::util::maskLow(width), 0u);
 }
 
+TEST(Ittage, FoldedHistoryMatchesTheRotatedWindowDefinition)
+{
+    // The one-word CSR push must equal the definition: the XOR over
+    // the window of rotateLeft(symbol, symbolBits * age), age 0 the
+    // newest.  Geometries cover a symbol wider than the register, a
+    // whole-multiple rotation (amount reduces to 0), odd widths, the
+    // 32-bit maximum and a one-symbol window.
+    struct Geometry
+    {
+        unsigned width, length, symbolBits;
+    };
+    const Geometry geometries[] = {
+        {2, 3, 4}, {7, 6, 4}, {8, 2, 4}, {11, 64, 4},
+        {12, 16, 3}, {32, 9, 31}, {5, 1, 2},
+    };
+    for (const Geometry &g : geometries) {
+        FoldedHistory fold(g.width, g.length, g.symbolBits);
+        std::deque<std::uint32_t> window(g.length, 0);
+        std::uint32_t lcg = 77;
+        for (int i = 0; i < 500; ++i) {
+            lcg = lcg * 1664525u + 1013904223u;
+            const std::uint32_t symbol = static_cast<std::uint32_t>(
+                ibp::util::selectLow(lcg >> 3, g.symbolBits));
+            fold.push(symbol, window.back());
+            window.pop_back();
+            window.push_front(symbol);
+
+            std::uint64_t expected = 0;
+            for (unsigned age = 0; age < g.length; ++age)
+                expected ^= ibp::util::rotateLeft(window[age], g.width,
+                                                  g.symbolBits * age);
+            ASSERT_EQ(fold.value(), expected)
+                << "width " << g.width << " length " << g.length
+                << " symbol bits " << g.symbolBits << " push " << i;
+        }
+    }
+}
+
 TEST(Ittage, PartialTagsAliasAcrossBranches)
 {
     // Partial tags are the budget compromise: two pcs that fold to
@@ -198,6 +258,98 @@ TEST(Ittage, RetargetsOnlyAfterConfidenceDrains)
     ittage.update(pc, t2);
     EXPECT_EQ(ittage.componentEntry(0, pc).target, t2)
         << "confidence at zero must retarget in place";
+}
+
+TEST(Ittage, AllocationStallMatchesAcrossFusedAndSplitCalls)
+{
+    // One component, so the only allocation candidate above a base-
+    // table provider is component 0's slot.  Make that slot useful for
+    // pc, then mispredict an aliasing pc with the same index but a
+    // different tag: allocation must stall (age the slot, keep its
+    // line), and the fused call — which reuses the lookup's slots
+    // instead of rehashing them — must stall exactly like the split
+    // calls, in state and in the ittage/* probe counters.
+    IttageConfig config = smallConfig();
+    config.numComponents = 1;
+    Ittage split(config);
+    Ittage fused(config);
+    const ibp::trace::Addr pc = 0x120000040;
+    const ibp::trace::Addr t1 = 0x120001000, t2 = 0x120002000;
+    const ibp::trace::Addr t3 = 0x120003000;
+
+    // The histories stay empty (nothing is observed), so slots depend
+    // on the pc alone: find a same-index, different-tag neighbour.
+    ibp::trace::Addr other = 0;
+    for (ibp::trace::Addr probe = pc + 4; probe < pc + 4 * 100000;
+         probe += 4) {
+        if (split.indexFor(0, probe) == split.indexFor(0, pc) &&
+            split.tagFor(0, probe) != split.tagFor(0, pc)) {
+            other = probe;
+            break;
+        }
+    }
+    ASSERT_NE(other, 0u);
+
+    stepBoth(split, fused, pc, t1); // allocate component 0 with t1
+    stepBoth(split, fused, pc, t2); // drained line retargets to t2
+    stepBoth(split, fused, pc, t2); // t2 beats the base's t1: useful
+    ASSERT_EQ(split.componentEntry(0, pc).useful.value(), 1u);
+
+    stepBoth(split, fused, other, t3); // every candidate useful: stall
+    for (const Ittage *ittage : {&split, &fused}) {
+        const IttageEntry &line = ittage->componentEntry(0, pc);
+        EXPECT_EQ(line.target, t2) << "a stalled allocation overwrote";
+        EXPECT_EQ(line.tag, ittage->tagFor(0, pc));
+        EXPECT_EQ(line.useful.value(), 0u) << "stall must age the slot";
+    }
+    EXPECT_EQ(stateBytes(split), stateBytes(fused));
+    EXPECT_EQ(probeBytes(split), probeBytes(fused));
+
+    // ittage/allocations, ittage/alloc_stalls, ittage/tagged_provider.
+    const std::vector<std::uint8_t> probes = probeBytes(fused);
+    ibp::util::StateReader reader(probes);
+    const std::uint64_t allocations = reader.readU64();
+    const std::uint64_t stalls = reader.readU64();
+    const std::uint64_t tagged = reader.readU64();
+    ASSERT_TRUE(reader.ok());
+    const bool on = ibp::util::kInstrumentEnabled;
+    EXPECT_EQ(allocations, on ? 1u : 0u);
+    EXPECT_EQ(stalls, on ? 1u : 0u);
+    EXPECT_EQ(tagged, on ? 2u : 0u);
+}
+
+TEST(Ittage, FusedCallsMatchSplitCallsOnAChurningStream)
+{
+    // Every lookup outcome — base provider, tagged provider with and
+    // without a disagreeing alternate, allocation above the provider,
+    // allocation stalls — over a churning multi-branch stream with
+    // live histories: the fused path must track the split path in
+    // predictions, state and probes throughout.
+    const IttageConfig config = smallConfig();
+    Ittage split(config);
+    Ittage fused(config);
+    std::uint32_t lcg = 2024;
+    const ibp::trace::Addr targets[4] = {0x120001000, 0x120002000,
+                                         0x120003000, 0x120004000};
+    for (int i = 0; i < 6000; ++i) {
+        lcg = lcg * 1664525u + 1013904223u;
+        const ibp::trace::Addr pc = 0x120000000 + (lcg >> 20 & 0x7C);
+        const ibp::trace::Addr target = targets[lcg >> 13 & 3];
+        stepBoth(split, fused, pc, target);
+        split.observe(mtJmp(pc, target));
+        fused.observe(mtJmp(pc, target));
+    }
+    EXPECT_EQ(stateBytes(split), stateBytes(fused));
+    EXPECT_EQ(probeBytes(split), probeBytes(fused));
+}
+
+TEST(Ittage, RejectsMoreComponentsThanALookupHolds)
+{
+    IttageConfig config = smallConfig();
+    config.numComponents = Ittage::kMaxComponents + 1;
+    config.maxHistory = 64;
+    EXPECT_EXIT(Ittage ittage(config), ::testing::ExitedWithCode(1),
+                "component count");
 }
 
 TEST(Ittage, SerdeRoundTripIsByteIdentical)

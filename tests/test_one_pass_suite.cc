@@ -7,10 +7,12 @@
  * matrix and probe registries an independent whole-trace Engine::run
  * per cell produces (thread-count invariance is pinned in
  * test_parallel_suite.cc).  Separately, the engine's devirtualized
- * fused replay loops (Dpath / Cascade / Filtered-PPM) are checked
- * against a split predict()-then-update() reference replay over every
- * committed adversarial regression profile — the workloads fuzzing
- * found most likely to expose a predictor-state divergence.
+ * fused replay loops — every type in its withConcreteType list (BTB,
+ * BTB2b, GAp, TC-PIB, PPM, Dpath, Cascade, Filtered-PPM, ITTAGE,
+ * Perceptron) — are checked against a split predict()-then-update()
+ * reference replay over every committed adversarial regression
+ * profile, the workloads fuzzing found most likely to expose a
+ * predictor-state divergence.  State and probe bytes must both match.
  */
 
 #include <gtest/gtest.h>
@@ -161,6 +163,14 @@ stateBytes(const ibp::pred::IndirectPredictor &predictor)
     return writer.bytes();
 }
 
+std::vector<std::uint8_t>
+probeBytes(const ibp::pred::IndirectPredictor &predictor)
+{
+    ibp::util::StateWriter writer;
+    predictor.saveProbes(writer);
+    return writer.bytes();
+}
+
 /**
  * The replay protocol with *split* predict()/update() calls — the
  * reference the engine's fused, devirtualized loops must match state
@@ -202,12 +212,14 @@ TEST(FusedRegressionProfiles, EngineFastPathsMatchSplitReplay)
 {
     // The fuzzer-pinned profiles are the workloads most likely to
     // expose a divergence between the fused fast paths (slot caching,
-    // LUT hashing) and the plain split protocol: they were
-    // selected for perverse target churn and ranking sensitivity.
+    // LUT hashing, reused lookups and feature hashes) and the plain
+    // split protocol: they were selected for perverse target churn
+    // and ranking sensitivity.  One predictor per devirtualized type.
     const auto paths = committedProfiles();
     ASSERT_FALSE(paths.empty());
     const std::vector<std::string> fused_predictors = {
-        "Dpath", "Cascade", "Filtered-PPM",
+        "BTB",   "BTB2b",   "GAp",          "TC-PIB", "PPM-hyb",
+        "Dpath", "Cascade", "Filtered-PPM", "ITTAGE", "Perceptron",
     };
     const EngineConfig config;
     for (const fs::path &path : paths) {
@@ -239,6 +251,9 @@ TEST(FusedRegressionProfiles, EngineFastPathsMatchSplitReplay)
             EXPECT_EQ(stateBytes(*fused), stateBytes(*split))
                 << label << ": fused fast path diverged from the "
                 << "split protocol";
+            EXPECT_EQ(probeBytes(*fused), probeBytes(*split))
+                << label << ": fused fast path moved a probe the "
+                << "split protocol did not";
         }
     }
 }

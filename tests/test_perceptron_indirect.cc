@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/bitops.hh"
+#include "util/probe.hh"
 #include "util/serde.hh"
 #include "predictors/perceptron_indirect.hh"
 
@@ -54,6 +56,45 @@ stateBytes(const PerceptronIndirect &predictor)
     ibp::util::StateWriter writer;
     predictor.saveState(writer);
     return writer.bytes();
+}
+
+std::vector<std::uint8_t>
+probeBytes(const PerceptronIndirect &predictor)
+{
+    ibp::util::StateWriter writer;
+    predictor.saveProbes(writer);
+    return writer.bytes();
+}
+
+/** Train @p split through predict() then update() and @p fused
+ *  through predictAndUpdate(); both must predict the same target. */
+void
+stepBoth(PerceptronIndirect &split, PerceptronIndirect &fused,
+         ibp::trace::Addr pc, ibp::trace::Addr target)
+{
+    const Prediction a = split.predict(pc);
+    split.update(pc, target);
+    const Prediction b = fused.predictAndUpdate(pc, target);
+    EXPECT_EQ(a.valid, b.valid);
+    EXPECT_EQ(a.target, b.target);
+}
+
+/** The perceptron/weight_updates probe (first field of saveProbes). */
+std::uint64_t
+weightUpdates(const PerceptronIndirect &predictor)
+{
+    const std::vector<std::uint8_t> probes = probeBytes(predictor);
+    ibp::util::StateReader reader(probes);
+    return reader.readU64();
+}
+
+/** Both clones must agree in state and in probe counters. */
+void
+expectSameBytes(const PerceptronIndirect &split,
+                const PerceptronIndirect &fused)
+{
+    EXPECT_EQ(stateBytes(split), stateBytes(fused));
+    EXPECT_EQ(probeBytes(split), probeBytes(fused));
 }
 
 TEST(PerceptronIndirect, ColdMissAndName)
@@ -184,6 +225,107 @@ TEST(PerceptronIndirect, FeatureIndicesFollowTheirHistoryStream)
 
     p.observe(mtJmp(0x120000980, 0x120004dd0));
     EXPECT_NE(p.featureIndex(0, pc, target), pib0);
+}
+
+TEST(PerceptronIndirect, UncachedTargetTrainsFromAFreshHash)
+{
+    // The actual target is not in the candidate cache, so the scoring
+    // pass never hashed it: training must fold it afresh for the +1,
+    // and push the cached best candidate down with its reused hashes.
+    PerceptronIndirect split(smallConfig());
+    PerceptronIndirect fused(smallConfig());
+    const ibp::trace::Addr pc = 0x120000040;
+    const ibp::trace::Addr t1 = 0x120001000, t2 = 0x120002480;
+    ASSERT_NE(split.featureIndex(0, pc, t1), split.featureIndex(0, pc, t2));
+    ASSERT_NE(split.featureIndex(1, pc, t1), split.featureIndex(1, pc, t2));
+
+    stepBoth(split, fused, pc, t1); // cold: t1 +1 on both rows
+    stepBoth(split, fused, pc, t1); // low margin: t1 +1 again
+    ASSERT_EQ(split.score(pc, t1), 4);
+    ASSERT_EQ(split.score(pc, t2), 0);
+
+    const std::uint64_t updates = weightUpdates(fused);
+    stepBoth(split, fused, pc, t2); // t2 uncached: +1 t2, -1 t1
+    for (const PerceptronIndirect *p : {&split, &fused}) {
+        EXPECT_EQ(p->score(pc, t2), 2);
+        EXPECT_EQ(p->score(pc, t1), 2);
+    }
+    EXPECT_EQ(weightUpdates(fused),
+              updates + (ibp::util::kInstrumentEnabled ? 2u : 0u));
+    expectSameBytes(split, fused);
+}
+
+TEST(PerceptronIndirect, CachedRunnerUpTakesTheMinusOnePathOnReusedHashes)
+{
+    // Both targets are cached, t1 scores higher: a t2 branch is a
+    // mispredict whose +1 lands on a candidate the scoring pass already
+    // hashed (but did not choose) and whose -1 reuses the chosen
+    // candidate's hashes.
+    PerceptronIndirectConfig config = smallConfig();
+    config.trainingThreshold = 0; // correct predictions never train
+    PerceptronIndirect split(config);
+    PerceptronIndirect fused(config);
+    const ibp::trace::Addr pc = 0x120000040;
+    const ibp::trace::Addr t1 = 0x120001000, t2 = 0x120002480;
+
+    stepBoth(split, fused, pc, t1); // t1: +1 (score 2), cached
+    stepBoth(split, fused, pc, t2); // t2: +1 (2), t1: -1 (0), cached
+    stepBoth(split, fused, pc, t2); // t2 now best: correct, no train
+    stepBoth(split, fused, pc, t1); // t1 runner-up: +1 t1, -1 t2
+    ASSERT_EQ(split.score(pc, t1), 2);
+    ASSERT_EQ(split.score(pc, t2), 0);
+
+    const std::uint64_t updates = weightUpdates(fused);
+    stepBoth(split, fused, pc, t2); // cached, not best: +1 t2, -1 t1
+    for (const PerceptronIndirect *p : {&split, &fused}) {
+        EXPECT_EQ(p->score(pc, t2), 2);
+        EXPECT_EQ(p->score(pc, t1), 0);
+    }
+    EXPECT_EQ(weightUpdates(fused),
+              updates + (ibp::util::kInstrumentEnabled ? 2u : 0u));
+    expectSameBytes(split, fused);
+}
+
+TEST(PerceptronIndirect, PlusAndMinusOnOneWeightSaturateInOrder)
+{
+    // Find a second target whose feature rows coincide with t1's in
+    // every table (same fold modulo the table size) but whose
+    // candidate tag differs.  Training it against a saturated t1 puts
+    // the +1 and the -1 on the same weights: +1 clamps at maxWeight,
+    // then -1 leaves maxWeight - 1.  Netting the two deltas first
+    // would leave maxWeight — order matters, and fused training must
+    // keep it.
+    PerceptronIndirectConfig config = smallConfig();
+    config.trainingThreshold = 10000; // always train
+    PerceptronIndirect split(config);
+    PerceptronIndirect fused(config);
+    const ibp::trace::Addr pc = 0x120000040;
+    const ibp::trace::Addr t1 = 0x120001000;
+
+    ibp::trace::Addr twin = 0;
+    for (ibp::trace::Addr probe = t1 + 4; probe < t1 + 4 * 1000000;
+         probe += 4) {
+        if (split.featureIndex(0, pc, probe) ==
+                split.featureIndex(0, pc, t1) &&
+            split.featureIndex(1, pc, probe) ==
+                split.featureIndex(1, pc, t1) &&
+            ibp::util::foldXor(probe >> 2, 40, config.candidateTagBits) !=
+                ibp::util::foldXor(t1 >> 2, 40, config.candidateTagBits)) {
+            twin = probe;
+            break;
+        }
+    }
+    ASSERT_NE(twin, 0u) << "no feature twin in 1M targets; hash changed?";
+
+    for (int i = 0; i < 100; ++i)
+        stepBoth(split, fused, pc, t1);
+    ASSERT_EQ(split.score(pc, t1), 2 * split.maxWeight());
+
+    stepBoth(split, fused, pc, twin); // t1 predicted: +1 then -1
+    for (const PerceptronIndirect *p : {&split, &fused})
+        EXPECT_EQ(p->score(pc, t1), 2 * (p->maxWeight() - 1))
+            << "+1 must saturate before the -1 applies";
+    expectSameBytes(split, fused);
 }
 
 TEST(PerceptronIndirect, SerdeRoundTripIsByteIdentical)

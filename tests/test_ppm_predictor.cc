@@ -3,6 +3,8 @@
  * Tests for the complete PPM predictor variants (paper Figure 4).
  */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/ppm_predictor.hh"
@@ -84,7 +86,8 @@ TEST(PpmPredictor, LearnsPibCorrelatedPattern)
     int late_misses = 0;
     int state = 7;
     for (int i = 0; i < 4000; ++i) {
-        state = state * 1103515245 + 12345;
+        state = static_cast<int>(
+            static_cast<std::uint32_t>(state) * 1103515245u + 12345u);
         const int phase = (state >> 16) & 1;
         ppm.observe(mtJmp(0x120000900, markers[phase]));
         const Prediction p = ppm.predict(pc);
@@ -109,7 +112,8 @@ TEST(PpmPredictor, HybridLearnsPbCorrelatedPattern)
     int pib_late = 0;
     int state = 3;
     for (int i = 0; i < 6000; ++i) {
-        state = state * 1103515245 + 12345;
+        state = static_cast<int>(
+            static_cast<std::uint32_t>(state) * 1103515245u + 12345u);
         const int phase = (state >> 16) & 1;
         const auto c = cond(0x120000900, 0x120000a00, phase == 1);
         hyb.observe(c);

@@ -161,6 +161,14 @@ stateBytes(const ibp::pred::IndirectPredictor &predictor)
     return writer.bytes();
 }
 
+std::vector<std::uint8_t>
+probeBytes(const ibp::pred::IndirectPredictor &predictor)
+{
+    ibp::util::StateWriter writer;
+    predictor.saveProbes(writer);
+    return writer.bytes();
+}
+
 TEST_P(PredictorPropertyTest, FusedPredictAndUpdateMatchesSplitCalls)
 {
     // The engine's hot loop uses the fused predictAndUpdate(); its
@@ -168,7 +176,8 @@ TEST_P(PredictorPropertyTest, FusedPredictAndUpdateMatchesSplitCalls)
     // update() protocol.  Drive one clone through each, and a third
     // through repeated predict() calls: predictions must agree
     // throughout (predict() is idempotent before its update()), and
-    // the fused/split clones must end byte-identical.
+    // the fused/split clones must end byte-identical, in state and in
+    // probe counters (fused paths reorder the code that bumps them).
     ibp::trace::TraceBuffer trace = sharedTrace();
     auto split = makePredictor(GetParam());
     auto fused = makePredictor(GetParam());
@@ -198,6 +207,9 @@ TEST_P(PredictorPropertyTest, FusedPredictAndUpdateMatchesSplitCalls)
     }
     EXPECT_EQ(stateBytes(*split), stateBytes(*fused))
         << "fused predictAndUpdate() diverged from the split protocol";
+    EXPECT_EQ(probeBytes(*split), probeBytes(*fused))
+        << "fused predictAndUpdate() moved a probe the split protocol "
+        << "did not";
 }
 
 TEST_P(PredictorPropertyTest, TableOccupancyReachesAFixedPoint)
