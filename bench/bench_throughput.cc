@@ -1,9 +1,14 @@
 /**
  * @file
  * Engine-level throughput baseline: branches/second for the standard
- * predictor set and MB/s for synthetic trace generation, emitted both
- * as a human-readable table and as machine-readable JSON
- * (BENCH_throughput.json) for CI artifacts and regression tracking.
+ * predictor set and records/s (and MB/s) for synthetic trace
+ * generation, emitted both as a human-readable table and as
+ * machine-readable JSON (BENCH_throughput.json) for CI artifacts and
+ * regression tracking.
+ *
+ * Trace generation is timed the way suite rows consume it: the walker
+ * refills one kReplayChunk-record span through Program::fill() until
+ * kMinSeconds of wall time accumulates.
  *
  * Unlike bench_micro (google-benchmark per-predictor wall times), this
  * binary measures the production replay path end to end.  Two replay
@@ -13,8 +18,7 @@
  *    the zero-copy nextSpan() path reading 24-byte records in place;
  *  - packed_branches_per_sec: the same engine over a
  *    PackedReplaySource — the 16-byte packed format the trace cache
- *    keeps resident, unpacked in 256-record spans, i.e. what a
- *    parallel suite cell executes against a cached trace.
+ *    keeps resident, unpacked in kReplayChunk-record spans.
  *
  * The pair prices the packed format's memory savings (unpack
  * arithmetic vs. 1.5x less trace traffic) instead of hiding it.
@@ -26,7 +30,9 @@
  *     per-predictor span/packed throughput ratios are normalized by
  *     the run's median ratio (cancelling machine-speed differences
  *     between the baseline host and this one) and the process exits
- *     nonzero if any predictor fell more than 15% below the pack.
+ *     nonzero if any predictor, or trace generation's records/s
+ *     under the same normalization, fell more than 15% below the
+ *     pack.
  */
 
 #include <algorithm>
@@ -43,6 +49,7 @@
 #include "trace/packed_trace.hh"
 #include "obs/report.hh"
 #include "workload/profiles.hh"
+#include "workload/program.hh"
 #include "sim/engine.hh"
 #include "sim/experiment.hh"
 #include "sim/factory.hh"
@@ -100,6 +107,28 @@ timeReplay(ibp::sim::Engine &engine,
     return timing;
 }
 
+/** Stream @p profile's walker through one replay-chunk span until
+ *  kMinSeconds of wall time accumulates; returns records/s. */
+double
+timeTraceGeneration(const ibp::workload::BenchmarkProfile &profile)
+{
+    ibp::workload::Program program =
+        ibp::workload::synthesize(profile.program);
+    std::vector<ibp::trace::BranchRecord> chunk(
+        ibp::trace::kReplayChunk);
+    program.fill(chunk.data(), chunk.size()); // untimed warm-up
+
+    std::uint64_t records = 0;
+    const auto start = Clock::now();
+    double elapsed = 0;
+    do {
+        program.fill(chunk.data(), chunk.size());
+        records += chunk.size();
+        elapsed = secondsSince(start);
+    } while (elapsed < kMinSeconds);
+    return records / elapsed;
+}
+
 struct PredictorResult
 {
     std::string name;
@@ -127,11 +156,14 @@ median(std::vector<double> values)
  * slower machine scales every ratio alike and cancels out, while one
  * predictor regressing relative to the pack stands out.  A predictor
  * is flagged when either its span or its packed normalized ratio
- * drops below kGateTolerance.
- * @return the number of flagged predictors (0 = gate passes).
+ * drops below kGateTolerance.  Trace generation's records/s ratio is
+ * normalized by the same median and held to the same tolerance.
+ * @return how many predictors (plus trace generation) were flagged
+ * (0 = gate passes).
  */
 int
 gateAgainstBaseline(const std::vector<PredictorResult> &results,
+                    double gen_records_per_sec,
                     const std::string &baseline_path)
 {
     std::ifstream in(baseline_path);
@@ -174,6 +206,15 @@ gateAgainstBaseline(const std::vector<PredictorResult> &results,
               << " (median speed ratio " << scale
               << ", tolerance " << kGateTolerance << "):\n";
     int flagged = 0;
+    if (const ibp::util::JsonValue *gen = root.find("trace_gen")) {
+        const double gen_norm =
+            gen_records_per_sec /
+            gen->get("records_per_sec").asDouble() / scale;
+        const bool bad = gen_norm < kGateTolerance;
+        flagged += bad ? 1 : 0;
+        std::cout << "  trace_gen     records/s x" << gen_norm
+                  << (bad ? "  REGRESSED\n" : "\n");
+    }
     for (const auto &ratio : ratios) {
         const double span_norm = ratio.span / scale;
         const double packed_norm = ratio.packed / scale;
@@ -187,7 +228,7 @@ gateAgainstBaseline(const std::vector<PredictorResult> &results,
                   << packed_norm << (bad ? "  REGRESSED\n" : "\n");
     }
     if (flagged)
-        std::cout << flagged << " predictor(s) regressed >15% vs "
+        std::cout << flagged << " gated entry(ies) regressed >15% vs "
                   << "the baseline\n";
     else
         std::cout << "gate passed\n";
@@ -221,20 +262,17 @@ main(int argc, char **argv)
     profile.records = records;
 
     // --- trace generation -----------------------------------------------
-    const auto gen_start = Clock::now();
+    const double gen_records_per_sec = timeTraceGeneration(profile);
+    const double gen_mb_per_sec = gen_records_per_sec *
+                                  sizeof(ibp::trace::BranchRecord) /
+                                  (1024.0 * 1024.0);
     const ibp::trace::TraceBuffer trace =
         ibp::sim::generateTrace(profile);
-    const double gen_seconds = secondsSince(gen_start);
-    const double gen_records_per_sec = trace.size() / gen_seconds;
-    const double gen_mb_per_sec =
-        trace.size() * sizeof(ibp::trace::BranchRecord) /
-        (gen_seconds * 1024.0 * 1024.0);
-
     const ibp::trace::PackedTraceBuffer packed(trace);
 
-    std::cout << "trace: " << trace.size() << " records, generated in "
-              << gen_seconds << " s (" << gen_records_per_sec / 1e6
-              << " M records/s, " << gen_mb_per_sec << " MB/s)\n";
+    std::cout << "trace: " << trace.size() << " records; generation "
+              << gen_records_per_sec / 1e6 << " M records/s ("
+              << gen_mb_per_sec << " MB/s)\n";
     std::cout << "packed: " << packed.storageBytes() << " bytes ("
               << sizeof(ibp::trace::PackedBranchRecord)
               << " B/record)\n\n";
@@ -313,7 +351,8 @@ main(int argc, char **argv)
     std::cout << "\nwrote " << out_path << "\n";
 
     if (!baseline_path.empty() &&
-        gateAgainstBaseline(results, baseline_path) > 0)
+        gateAgainstBaseline(results, gen_records_per_sec,
+                            baseline_path) > 0)
         return 1;
     return 0;
 }

@@ -32,9 +32,10 @@ TraceEventLog::add(TraceEvent event)
 }
 
 void
-TraceEventLog::completeEvent(const std::string &name,
-                             const std::string &category,
-                             double begin_seconds, double end_seconds)
+TraceEventLog::completeEvent(
+    const std::string &name, const std::string &category,
+    double begin_seconds, double end_seconds,
+    std::vector<std::pair<std::string, double>> number_args)
 {
     if (!enabled())
         return;
@@ -46,6 +47,7 @@ TraceEventLog::completeEvent(const std::string &name,
     event.tid = threadTrackId();
     event.timestampMicros = begin_seconds * 1e6;
     event.durationMicros = (end_seconds - begin_seconds) * 1e6;
+    event.numberArgs = std::move(number_args);
     add(std::move(event));
 }
 
@@ -82,7 +84,15 @@ ScopedTraceSpan::~ScopedTraceSpan()
 {
     if (active_)
         globalTraceLog().completeEvent(name_, category_, beginSeconds_,
-                                       wallSeconds());
+                                       wallSeconds(),
+                                       std::move(numberArgs_));
+}
+
+void
+ScopedTraceSpan::addNumber(std::string key, double value)
+{
+    if (active_)
+        numberArgs_.emplace_back(std::move(key), value);
 }
 
 // --- timeline -> events -----------------------------------------------

@@ -87,11 +87,13 @@ class TraceEventLog
     /**
      * Record a completed wall-clock span on the calling thread's
      * track.  @p begin_seconds / @p end_seconds are
-     * obs::wallSeconds() readings.
+     * obs::wallSeconds() readings; @p number_args become the span's
+     * args.
      */
-    void completeEvent(const std::string &name,
-                       const std::string &category,
-                       double begin_seconds, double end_seconds);
+    void completeEvent(
+        const std::string &name, const std::string &category,
+        double begin_seconds, double end_seconds,
+        std::vector<std::pair<std::string, double>> number_args = {});
 
     /** Copy out everything recorded so far. */
     std::vector<TraceEvent> snapshot() const;
@@ -119,9 +121,13 @@ class ScopedTraceSpan
     ScopedTraceSpan &operator=(const ScopedTraceSpan &) = delete;
     ~ScopedTraceSpan();
 
+    /** Attach a numeric arg to the span when it closes. */
+    void addNumber(std::string key, double value);
+
   private:
     std::string name_;
     std::string category_;
+    std::vector<std::pair<std::string, double>> numberArgs_;
     double beginSeconds_ = 0;
     bool active_ = false;
 };

@@ -1,5 +1,6 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -27,6 +28,16 @@ double
 secondsSince(double start)
 {
     return obs::wallSeconds() - start;
+}
+
+/** A profile's record count at @p trace_scale. */
+std::uint64_t
+scaledRecords(const workload::BenchmarkProfile &profile,
+              double trace_scale)
+{
+    fatal_if(trace_scale <= 0, "trace scale must be positive");
+    return static_cast<std::uint64_t>(
+        std::llround(static_cast<double>(profile.records) * trace_scale));
 }
 
 /**
@@ -218,11 +229,8 @@ trace::TraceBuffer
 generateTrace(const workload::BenchmarkProfile &profile,
               double trace_scale)
 {
-    fatal_if(trace_scale <= 0, "trace scale must be positive");
-    workload::Program program = workload::synthesize(profile.program);
-    const auto records = static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(profile.records) * trace_scale));
-    return program.collect(records);
+    const std::uint64_t records = scaledRecords(profile, trace_scale);
+    return workload::synthesize(profile.program).collect(records);
 }
 
 std::shared_ptr<const trace::PackedTraceBuffer>
@@ -432,11 +440,13 @@ makeColumn(std::size_t index, const std::string &name,
 }
 
 /**
- * One row task: generate the row's trace, then feed it chunk by chunk
- * to every column not already finished in @p resume, each from its own
- * cursor.  With a progress file, every in-flight column is snapshotted
- * at each multiple of checkpointEvery records and the finished cells
- * are recorded when the row completes.
+ * One row task: run the row's walker and feed its trace, one replay
+ * chunk at a time, to every column not already finished in @p resume,
+ * each from its own cursor.  No whole-row trace is ever held: the
+ * walker refills one kReplayChunk-record scratch span per chunk.  With
+ * a progress file, every in-flight column is snapshotted at each
+ * multiple of checkpointEvery records and the finished cells are
+ * recorded when the row completes.
  */
 RowOutput
 runRow(const workload::BenchmarkProfile &profile,
@@ -466,17 +476,10 @@ runRow(const workload::BenchmarkProfile &profile,
     if (pending.empty())
         return output; // a fully resumed row needs no trace at all
 
-    trace::TraceBuffer buffer;
-    {
-        obs::ScopedTraceSpan gen_span("tracegen " + row_name,
-                                      "tracegen");
-        const double gen_start = obs::wallSeconds();
-        buffer = generateTrace(profile, options.traceScale);
-        output.genSeconds = secondsSince(gen_start);
-    }
     obs::ScopedTraceSpan row_span(row_name + " / row", "cell");
-    const trace::BranchRecord *records = buffer.records().data();
-    const std::uint64_t total = buffer.size();
+    const std::uint64_t total =
+        scaledRecords(profile, options.traceScale);
+    workload::Program program = workload::synthesize(profile.program);
 
     std::vector<Column> columns;
     columns.reserve(pending.size());
@@ -490,31 +493,41 @@ runRow(const workload::BenchmarkProfile &profile,
                                      partial, total));
     }
 
+    // The walker always starts at record 0: the prefix a resumed
+    // column already consumed is regenerated but not fed to it again.
+    std::uint64_t resumed_at = total;
+    for (const auto &column : columns)
+        resumed_at = std::min(resumed_at, column.cursor);
     const std::uint64_t every =
         progress != nullptr ? options.checkpointEvery : 0;
-    std::uint64_t pos = total;
-    for (const auto &column : columns)
-        pos = std::min(pos, column.cursor);
+    std::vector<trace::BranchRecord> chunk(trace::kReplayChunk);
+    std::uint64_t pos = 0;
     while (pos < total) {
         std::uint64_t end = std::min<std::uint64_t>(
             total, pos + trace::kReplayChunk);
         if (every > 0)
             end = std::min(end, (pos / every + 1) * every);
+        const double gen_start = obs::wallSeconds();
+        program.fill(chunk.data(), static_cast<std::size_t>(end - pos));
+        output.genSeconds += secondsSince(gen_start);
         for (auto &column : columns) {
             if (column.cursor >= end)
                 continue; // resumed ahead of this chunk
+            const std::uint64_t from = std::max(pos, column.cursor);
             const double feed_wall = obs::wallSeconds();
             const double feed_cpu = obs::threadCpuSeconds();
-            column.session.feed(
-                records + column.cursor,
-                static_cast<std::size_t>(end - column.cursor),
-                *column.predictor);
+            column.session.feed(chunk.data() + (from - pos),
+                                static_cast<std::size_t>(end - from),
+                                *column.predictor);
             column.cpuSeconds += obs::threadCpuSeconds() - feed_cpu;
             column.wallSeconds += secondsSince(feed_wall);
             column.cursor = end;
         }
         pos = end;
-        if (every > 0 && pos % every == 0 && pos < total) {
+        // Snapshots taken inside the regenerated prefix would only
+        // rewrite the ones the resume started from.
+        if (every > 0 && pos % every == 0 && pos > resumed_at &&
+            pos < total) {
             std::vector<PartialCell> partials;
             for (auto &column : columns) {
                 if (column.cursor == pos)
@@ -527,6 +540,7 @@ runRow(const workload::BenchmarkProfile &profile,
             progress->snapshot(row_name, std::move(partials));
         }
     }
+    row_span.addNumber("tracegen_s", output.genSeconds);
 
     std::vector<CompletedCell> finished;
     for (auto &column : columns) {

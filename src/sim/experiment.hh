@@ -9,12 +9,14 @@
  *
  * One scheduler runs every suite: one task per benchmark row on a
  * ThreadPool (a pool of one when SuiteOptions::threads == 1).  Each
- * task generates its row's trace privately and replays it once for
- * all predictor columns, feeding it chunk by chunk to one
- * factory-fresh predictor and ReplaySession per column.  Rows share no
- * simulation state and are collected in row order, so the matrix,
- * probes and timelines do not depend on scheduling or thread count
- * (enforced by tests/test_parallel_suite.cc and the golden fixtures in
+ * task streams its row's trace from a private workload walker: the
+ * walker fills one trace::kReplayChunk-record scratch span at a time
+ * and each chunk is fed to one factory-fresh predictor and
+ * ReplaySession per column before the next is generated, so no row
+ * ever holds its whole trace.  Rows share no simulation state and are
+ * collected in row order, so the matrix, probes and timelines do not
+ * depend on scheduling or thread count (enforced by
+ * tests/test_parallel_suite.cc and the golden fixtures in
  * tests/golden/).
  */
 
@@ -87,7 +89,11 @@ struct SuiteTiming
      * With one thread this equals wallSeconds.
      */
     double serialEquivalentSeconds = 0;
-    /** Time spent generating (not replaying) unique traces. */
+    /**
+     * Wall time the row tasks spent in the workload walker: the sum of
+     * every per-chunk fill, replay excluded.  Part of (not in addition
+     * to) serialEquivalentSeconds.
+     */
     double traceGenSeconds = 0;
     unsigned threadsUsed = 1;
 
@@ -187,8 +193,12 @@ RunMetrics runOne(const workload::BenchmarkProfile &profile,
 /**
  * Run the full matrix: one task per benchmark row on a ThreadPool of
  * SuiteOptions::threads workers (0 = hardware concurrency), each
- * replaying its row's trace once for every unfinished predictor
- * column, with the checkpoint/resume behaviour SuiteOptions describes.
+ * streaming its row's trace from the walker in kReplayChunk-record
+ * chunks and feeding every chunk to each unfinished predictor column,
+ * with the checkpoint/resume behaviour SuiteOptions describes.  A
+ * column resumed from a mid-row snapshot skips the chunks (and the
+ * part of a chunk) before its cursor; the walker still regenerates
+ * that prefix, because walker state is not checkpointed.
  * @p timing, when non-null, receives wall-clock accounting.
  */
 SuiteResult runSuite(const std::vector<workload::BenchmarkProfile> &,

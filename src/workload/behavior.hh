@@ -16,12 +16,14 @@
 #ifndef IBP_WORKLOAD_BEHAVIOR_HH_
 #define IBP_WORKLOAD_BEHAVIOR_HH_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "util/logging.hh"
 #include "util/random.hh"
 #include "util/serde.hh"
 
@@ -39,20 +41,31 @@ enum class StreamKind : std::uint8_t
  * Symbols are the low bits of each branch's resolved next address,
  * which is exactly the information hardware path-history registers
  * capture.
+ *
+ * Each stream is a fixed kCapacity-slot ring (head index + length), so
+ * a push is one store and two index updates with no allocation.
  */
 class PathState
 {
   public:
-    explicit PathState(std::size_t depth = 32) : depth_(depth) {}
+    /** Most symbols a stream can retain; depth may not exceed it. */
+    static constexpr std::size_t kCapacity = 64;
+
+    explicit PathState(std::size_t depth = 32) : depth_(depth)
+    {
+        fatal_if(depth > kCapacity, "path depth ", depth,
+                 " exceeds the ring capacity ", kCapacity);
+    }
 
     /** Append one symbol to the stream (oldest falls off). */
     void
     push(StreamKind stream, std::uint64_t symbol)
     {
-        auto &q = queue(stream);
-        q.push_back(symbol);
-        if (q.size() > depth_)
-            q.pop_front();
+        Ring &ring = rings_[index(stream)];
+        ring.head = (ring.head + 1) & kMask;
+        ring.slots[ring.head] = symbol;
+        if (ring.length < depth_)
+            ++ring.length;
     }
 
     /**
@@ -62,60 +75,67 @@ class PathState
     std::uint64_t
     recent(StreamKind stream, std::size_t i) const
     {
-        const auto &q = queue(stream);
-        if (i >= q.size())
+        const Ring &ring = rings_[index(stream)];
+        if (i >= ring.length)
             return 0;
-        return q[q.size() - 1 - i];
+        return ring.slots[(ring.head - i) & kMask];
     }
 
     std::size_t length(StreamKind stream) const
     {
-        return queue(stream).size();
+        return rings_[index(stream)].length;
     }
 
-    /** Serialize both symbol streams. */
+    /** Serialize both streams: PB then PIB, each length + oldest-first. */
     void
     saveState(util::StateWriter &writer) const
     {
-        writer.writeVarint(pb_.size());
-        for (std::uint64_t symbol : pb_)
-            writer.writeU64(symbol);
-        writer.writeVarint(pib_.size());
-        for (std::uint64_t symbol : pib_)
-            writer.writeU64(symbol);
+        for (StreamKind stream :
+             {StreamKind::AllBranches, StreamKind::MtIndirect}) {
+            const std::size_t n = length(stream);
+            writer.writeVarint(n);
+            for (std::size_t i = n; i-- > 0;)
+                writer.writeU64(recent(stream, i));
+        }
     }
 
     /** Restore saved streams; lengths must fit this state's depth. */
     void
     loadState(util::StateReader &reader)
     {
-        for (auto *q : {&pb_, &pib_}) {
-            q->clear();
+        for (StreamKind stream :
+             {StreamKind::AllBranches, StreamKind::MtIndirect}) {
+            rings_[index(stream)] = Ring{};
             const std::uint64_t length = reader.readVarint();
             if (reader.ok() && length > depth_) {
                 reader.fail("path stream longer than its depth");
                 return;
             }
             for (std::uint64_t i = 0; i < length && reader.ok(); ++i)
-                q->push_back(reader.readU64());
+                push(stream, reader.readU64());
         }
     }
 
   private:
-    std::deque<std::uint64_t> &
-    queue(StreamKind stream)
+    static constexpr std::size_t kMask = kCapacity - 1;
+    static_assert((kCapacity & kMask) == 0,
+                  "ring capacity must be a power of two");
+
+    struct Ring
     {
-        return stream == StreamKind::AllBranches ? pb_ : pib_;
-    }
-    const std::deque<std::uint64_t> &
-    queue(StreamKind stream) const
+        std::array<std::uint64_t, kCapacity> slots{};
+        std::size_t head = kMask; ///< slot of the newest symbol
+        std::size_t length = 0;
+    };
+
+    static std::size_t
+    index(StreamKind stream)
     {
-        return stream == StreamKind::AllBranches ? pb_ : pib_;
+        return static_cast<std::size_t>(stream);
     }
 
     std::size_t depth_;
-    std::deque<std::uint64_t> pb_;
-    std::deque<std::uint64_t> pib_;
+    std::array<Ring, 2> rings_; ///< indexed by StreamKind
 };
 
 /**

@@ -198,14 +198,19 @@ Program::run(std::uint64_t n, trace::BranchSink &sink)
         sink.push(step());
 }
 
+void
+Program::fill(BranchRecord *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = step();
+}
+
 trace::TraceBuffer
 Program::collect(std::uint64_t n)
 {
-    trace::TraceBuffer buffer;
-    buffer.reserve(n);
-    run(n, buffer);
-    buffer.rewind();
-    return buffer;
+    std::vector<BranchRecord> records(static_cast<std::size_t>(n));
+    fill(records.data(), records.size());
+    return trace::TraceBuffer(std::move(records));
 }
 
 void

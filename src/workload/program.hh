@@ -109,7 +109,14 @@ class Program
     /** Emit @p n branch records into @p sink. */
     void run(std::uint64_t n, trace::BranchSink &sink);
 
-    /** Convenience: run into a fresh in-memory trace. */
+    /**
+     * Write the next @p n branch records to @p out, exactly as @p n
+     * step() calls would.  The bulk generation path: suite rows stream
+     * their trace through it one replay chunk at a time.
+     */
+    void fill(trace::BranchRecord *out, std::size_t n);
+
+    /** Convenience: fill() a fresh in-memory trace. */
     trace::TraceBuffer collect(std::uint64_t n);
 
     std::size_t blockCount() const { return blocks_.size(); }

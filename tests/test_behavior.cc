@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,6 +56,79 @@ TEST(PathState, DepthBounded)
     EXPECT_EQ(path.recent(StreamKind::AllBranches, 2), 7u);
     // Beyond retained depth: cold-start zero.
     EXPECT_EQ(path.recent(StreamKind::AllBranches, 3), 0u);
+}
+
+TEST(PathState, WrapsPastTheRingCapacity)
+{
+    PathState path(PathState::kCapacity);
+    const std::uint64_t pushes = 3 * PathState::kCapacity + 5;
+    for (std::uint64_t i = 1; i <= pushes; ++i)
+        path.push(StreamKind::MtIndirect, i);
+    EXPECT_EQ(path.length(StreamKind::MtIndirect), PathState::kCapacity);
+    for (std::size_t i = 0; i < PathState::kCapacity; ++i)
+        EXPECT_EQ(path.recent(StreamKind::MtIndirect, i), pushes - i);
+    EXPECT_EQ(path.recent(StreamKind::MtIndirect, PathState::kCapacity),
+              0u);
+    EXPECT_EQ(path.length(StreamKind::AllBranches), 0u);
+}
+
+TEST(PathState, ShallowDepthHidesOlderRingSlots)
+{
+    // The ring still holds symbols older than the depth; they must
+    // read as cold, exactly as if they had been dropped.
+    PathState path(5);
+    for (std::uint64_t i = 1; i <= 200; ++i)
+        path.push(StreamKind::AllBranches, i);
+    EXPECT_EQ(path.length(StreamKind::AllBranches), 5u);
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(path.recent(StreamKind::AllBranches, i), 200 - i);
+    EXPECT_EQ(path.recent(StreamKind::AllBranches, 5), 0u);
+    EXPECT_EQ(path.recent(StreamKind::AllBranches, 40), 0u);
+}
+
+TEST(PathState, SaveLoadRoundTripsAtFullDepth)
+{
+    PathState path(PathState::kCapacity);
+    for (std::uint64_t i = 1; i <= 100; ++i)
+        path.push(StreamKind::AllBranches, i * 4);
+    for (std::uint64_t i = 1; i <= 70; ++i)
+        path.push(StreamKind::MtIndirect, i * 8);
+    ibp::util::StateWriter writer;
+    path.saveState(writer);
+
+    // Layout: per stream (PB, then PIB) a length, then oldest first.
+    ibp::util::StateReader layout(writer.bytes());
+    EXPECT_EQ(layout.readVarint(), PathState::kCapacity);
+    EXPECT_EQ(layout.readU64(), (100 - 64 + 1) * 4u);
+
+    PathState restored(PathState::kCapacity);
+    ibp::util::StateReader reader(writer.bytes());
+    restored.loadState(reader);
+    ASSERT_TRUE(reader.ok());
+    EXPECT_TRUE(reader.atEnd());
+    for (StreamKind stream :
+         {StreamKind::AllBranches, StreamKind::MtIndirect}) {
+        EXPECT_EQ(restored.length(stream), path.length(stream));
+        for (std::size_t i = 0; i <= PathState::kCapacity; ++i)
+            EXPECT_EQ(restored.recent(stream, i), path.recent(stream, i));
+    }
+    ibp::util::StateWriter again;
+    restored.saveState(again);
+    EXPECT_EQ(again.bytes(), writer.bytes());
+}
+
+TEST(PathState, RejectsASavedStreamLongerThanItsDepth)
+{
+    PathState deep(PathState::kCapacity);
+    for (std::uint64_t i = 0; i < 10; ++i)
+        deep.push(StreamKind::AllBranches, i);
+    ibp::util::StateWriter writer;
+    deep.saveState(writer);
+
+    PathState shallow(4);
+    ibp::util::StateReader reader(writer.bytes());
+    shallow.loadState(reader);
+    EXPECT_FALSE(reader.ok());
 }
 
 TEST(MonomorphicBehavior, AlwaysZeroWithoutNoise)

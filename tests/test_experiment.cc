@@ -156,6 +156,18 @@ TEST(Experiment, SeedSweepSingleSeedMatchesSuiteRunShape)
     EXPECT_DOUBLE_EQ(sweep.stddev[0], 0.0);
 }
 
+TEST(Experiment, TraceGenerationTimeIsPartOfTheSuiteTime)
+{
+    // Generation is interleaved with replay chunk by chunk; its summed
+    // fill time must still show, and must stay a share of the whole.
+    SuiteOptions options;
+    options.threads = 1;
+    SuiteTiming timing;
+    runSuite(tinySuite(), {"BTB", "PPM-hyb"}, options, &timing);
+    EXPECT_GT(timing.traceGenSeconds, 0.0);
+    EXPECT_LT(timing.traceGenSeconds, timing.serialEquivalentSeconds);
+}
+
 TEST(Experiment, PaperAveragesKnown)
 {
     EXPECT_DOUBLE_EQ(paperAverageFor("PPM-hyb"), 9.47);

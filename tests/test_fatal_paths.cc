@@ -148,6 +148,13 @@ TEST(FatalPaths, BehaviorValidatesOrder)
                  "order");
 }
 
+TEST(FatalPaths, PathStateDepthFitsTheRing)
+{
+    using ibp::workload::PathState;
+    EXPECT_EXIT(PathState path(PathState::kCapacity + 1),
+                ExitedWithCode(1), "ring capacity");
+}
+
 TEST(FatalPaths, FrontendValidatesConfig)
 {
     ibp::sim::FrontendConfig config;

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "util/serde.hh"
 #include "trace/trace_stats.hh"
 #include "workload/program.hh"
 
@@ -256,6 +259,116 @@ TEST(Program, StackDepthBounded)
     for (int i = 0; i < 50000; ++i) {
         program.step();
         EXPECT_LE(program.stackDepth(), 64u);
+    }
+}
+
+/**
+ * A program whose sites read every path stream shape: contiguous PB
+ * and PIB windows, sparse PB and PIB taps, and a self-correlated
+ * switch with its own history ring.
+ */
+SynthesisParams
+pathReadingParams()
+{
+    SynthesisParams params;
+    params.seed = 7;
+    HotSiteSpec pb;
+    pb.behavior = BehaviorClass::PbCorrelated;
+    pb.numTargets = 5;
+    pb.order = 3;
+    pb.offset = 2;
+    HotSiteSpec pib;
+    pib.behavior = BehaviorClass::PibCorrelated;
+    pib.call = true;
+    pib.numTargets = 4;
+    pib.order = 2;
+    pib.heat = 0.9;
+    HotSiteSpec sparse_pib;
+    sparse_pib.behavior = BehaviorClass::SparsePib;
+    sparse_pib.numTargets = 6;
+    sparse_pib.taps = {1, 9, 30};
+    HotSiteSpec sparse_pb;
+    sparse_pb.behavior = BehaviorClass::SparsePb;
+    sparse_pb.numTargets = 3;
+    sparse_pb.taps = {0, 17};
+    HotSiteSpec self;
+    self.behavior = BehaviorClass::SelfCorrelated;
+    self.numTargets = 4;
+    self.order = 3;
+    params.sites = {pb, pib, sparse_pib, sparse_pb, self};
+    return params;
+}
+
+/** FNV-1a over a serialized state blob. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (std::uint8_t byte : bytes)
+        hash = (hash ^ byte) * 0x100000001b3ULL;
+    return hash;
+}
+
+TEST(Program, WalkerCheckpointBytesArePinned)
+{
+    // The walker state is the "walker" section of every IBPC blob that
+    // carries one, so its bytes are a format.  These hashes were taken
+    // from the walker before its path streams became fixed rings.  At
+    // 10 steps neither 64-symbol stream is full, at 100 only the PB
+    // stream has wrapped, and by 1000 both have.
+    struct Pin
+    {
+        std::uint64_t steps;
+        std::size_t size;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {10, 149, 0x085fdff3e8fb3686ULL},
+        {100, 817, 0x00ae68d579298bb6ULL},
+        {1000, 1064, 0x39f0e5602ccdb9d4ULL},
+        {25013, 1064, 0xe7b7ef88d0b29d1fULL},
+    };
+
+    Program program = synthesize(pathReadingParams());
+    std::uint64_t steps = 0;
+    std::uint64_t mt_indirect = 0;
+    for (const Pin &pin : pins) {
+        for (; steps < pin.steps; ++steps)
+            mt_indirect += program.step().isPredictedIndirect() ? 1 : 0;
+        ibp::util::StateWriter writer;
+        program.saveState(writer);
+        EXPECT_EQ(writer.bytes().size(), pin.size) << "after " << steps;
+        EXPECT_EQ(fnv1a(writer.bytes()), pin.hash)
+            << "after " << steps << ": 0x" << std::hex
+            << fnv1a(writer.bytes());
+    }
+    EXPECT_GT(mt_indirect, 2 * 64u) << "the PIB stream never wrapped";
+}
+
+TEST(Program, FillInAnyChunkSizeMatchesStepping)
+{
+    constexpr std::size_t kChunk = ibp::trace::kReplayChunk;
+    constexpr std::size_t kRecords = 3 * (kChunk + 1) + 5;
+    std::vector<BranchRecord> want;
+    {
+        Program program = synthesize(pathReadingParams());
+        for (std::size_t i = 0; i < kRecords; ++i)
+            want.push_back(program.step());
+    }
+    const auto collected =
+        synthesize(pathReadingParams()).collect(kRecords);
+    EXPECT_EQ(collected.records(), want);
+
+    for (std::size_t chunk : {std::size_t{1}, kChunk - 1, kChunk,
+                              kChunk + 1}) {
+        Program program = synthesize(pathReadingParams());
+        std::vector<BranchRecord> got(kRecords);
+        for (std::size_t pos = 0; pos < kRecords; pos += chunk)
+            program.fill(got.data() + pos,
+                         std::min(chunk, kRecords - pos));
+        for (std::size_t i = 0; i < kRecords; ++i)
+            ASSERT_EQ(got[i], want[i])
+                << "chunk " << chunk << ", record " << i;
     }
 }
 

@@ -98,6 +98,24 @@ expectSameResult(const SuiteResult &want, const SuiteResult &got,
     }
 }
 
+/** Byte-for-byte equality of two results' timelines. */
+void
+expectSameTimelines(const SuiteResult &want, const SuiteResult &got,
+                    const char *label)
+{
+    ASSERT_FALSE(want.timelines.empty()) << label;
+    ASSERT_EQ(want.timelines.size(), got.timelines.size()) << label;
+    for (const auto &[row, columns] : want.timelines)
+        for (const auto &[name, timeline] : columns) {
+            util::StateWriter want_bytes;
+            util::StateWriter got_bytes;
+            timeline.saveState(want_bytes);
+            got.timelines.at(row).at(name).saveState(got_bytes);
+            EXPECT_EQ(want_bytes.bytes(), got_bytes.bytes())
+                << label << ": " << row << " x " << name;
+        }
+}
+
 SuiteResult
 runBaseline()
 {
@@ -384,15 +402,68 @@ TEST(SuiteResume, ColumnsOfOneRowResumeAtDifferentCursors)
         runSuite(profiles, kPredictors, options);
     EXPECT_EQ(util::warnCount(), 0u) << "every snapshot must restore";
     expectSameResult(baseline, resumed, "mixed-cursor resume");
-    EXPECT_EQ(resumed.timelines.size(), baseline.timelines.size());
-    for (const auto &[row, columns] : baseline.timelines)
-        for (const auto &[name, timeline] : columns) {
-            util::StateWriter want;
-            util::StateWriter got;
-            timeline.saveState(want);
-            resumed.timelines.at(row).at(name).saveState(got);
-            EXPECT_EQ(want.bytes(), got.bytes()) << row << " x " << name;
-        }
+    expectSameTimelines(baseline, resumed, "mixed-cursor resume");
+    std::remove(options.checkpointPath.c_str());
+}
+
+TEST(SuiteResume, CadencesOffTheReplayChunkDoNotChangeResults)
+{
+    // Rows stream from the walker in replay chunks clamped to the
+    // cadence; neither 1000 nor 5000 divides or is divided by the
+    // 4096-record chunk, so chunks of every length meet here.
+    SuiteOptions options = baseOptions();
+    options.engine.timeline.interval = 1500;
+    const auto profiles = testProfiles();
+    const SuiteResult baseline =
+        runSuite(profiles, kPredictors, options);
+
+    for (std::uint64_t every : {1000u, 5000u}) {
+        const std::string label =
+            "checkpointEvery=" + std::to_string(every);
+        options.checkpointPath = scratchPath("cadence_" +
+                                             std::to_string(every));
+        options.checkpointEvery = every;
+        const SuiteResult chunked =
+            runSuite(profiles, kPredictors, options);
+        expectSameResult(baseline, chunked, label.c_str());
+        expectSameTimelines(baseline, chunked, label.c_str());
+        std::remove(options.checkpointPath.c_str());
+    }
+}
+
+TEST(SuiteResume, ResumeWithEveryColumnAtOneCursorSkipsTheFedPrefix)
+{
+    // Every pending column of every row was snapshotted at the same
+    // cursor, past the first replay chunk: the walker regenerates that
+    // prefix without feeding it to anyone.  The cursor is off this
+    // run's cadence (the file may come from a run with another one),
+    // so the first chunk fed starts mid-chunk.
+    SuiteOptions options = baseOptions();
+    options.engine.timeline.interval = 1500;
+    const auto profiles = testProfiles();
+    const SuiteResult baseline =
+        runSuite(profiles, kPredictors, options);
+
+    options.checkpointPath = scratchPath("shared_cursor");
+    options.checkpointEvery = 1000;
+    options.resume = true;
+    SuiteProgress progress;
+    progress.fingerprint =
+        suiteFingerprint(profiles, kPredictors, options);
+    for (const auto &profile : profiles)
+        for (const auto &name : kPredictors)
+            progress.partials.push_back(
+                partialAt(profile, name, options, 4500));
+    ASSERT_TRUE(writeCheckpointFile(options.checkpointPath,
+                                    encodeSuiteProgress(progress))
+                    .ok());
+
+    util::resetWarnCount();
+    const SuiteResult resumed =
+        runSuite(profiles, kPredictors, options);
+    EXPECT_EQ(util::warnCount(), 0u) << "every snapshot must restore";
+    expectSameResult(baseline, resumed, "shared-cursor resume");
+    expectSameTimelines(baseline, resumed, "shared-cursor resume");
     std::remove(options.checkpointPath.c_str());
 }
 
