@@ -90,7 +90,7 @@ cmdGen(int argc, char **argv)
     workload::Program program = workload::synthesize(profile->program);
     const auto records = static_cast<std::uint64_t>(
         static_cast<double>(profile->records) * scale);
-    program.run(records, writer);
+    sim::streamTrace(program, records, writer);
     std::printf("wrote %llu records to %s\n",
                 static_cast<unsigned long long>(writer.count()),
                 argv[3]);

@@ -233,6 +233,20 @@ generateTrace(const workload::BenchmarkProfile &profile,
     return workload::synthesize(profile.program).collect(records);
 }
 
+void
+streamTrace(workload::Program &program, std::uint64_t records,
+            trace::BranchSink &sink)
+{
+    std::vector<trace::BranchRecord> chunk(trace::kReplayChunk);
+    for (std::uint64_t pos = 0; pos < records; pos += chunk.size()) {
+        const auto n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(chunk.size(), records - pos));
+        program.fill(chunk.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            sink.push(chunk[i]);
+    }
+}
+
 std::shared_ptr<const trace::PackedTraceBuffer>
 generateTraceCached(const workload::BenchmarkProfile &profile,
                     double trace_scale, double *generation_seconds)

@@ -151,6 +151,14 @@ trace::TraceBuffer generateTrace(const workload::BenchmarkProfile &,
                                  double trace_scale = 1.0);
 
 /**
+ * Write the next @p records records of @p program to @p sink through
+ * one trace::kReplayChunk-record span of Program::fill(), so a trace
+ * of any length is streamed without being held (trace_tool gen).
+ */
+void streamTrace(workload::Program &program, std::uint64_t records,
+                 trace::BranchSink &sink);
+
+/**
  * Memoized generateTrace(): returns an immutable, shared trace for
  * (profile name, workload seed, record count, scale), generating it at
  * most once per cache residency even under concurrent requests — the

@@ -106,103 +106,109 @@ Program::Program(std::vector<Block> blocks, std::vector<Function> functions,
 }
 
 void
-Program::observe(const BranchRecord &record)
+Program::stepInto(BranchRecord &record)
 {
-    path_.push(StreamKind::AllBranches, record.nextPc());
-    if (record.multiTarget && (record.kind == BranchKind::IndirectJmp ||
-                               record.kind == BranchKind::IndirectCall))
-        path_.push(StreamKind::MtIndirect, record.target);
-}
-
-BranchRecord
-Program::step()
-{
-    Block &block = blocks_[cur_];
-    Exit &exit = block.exit;
-    BranchRecord record;
+    const Exit &exit = blocks_[cur_].exit;
     record.pc = exit.pc;
-    record.taken = true;
+    bool taken = true;
+    bool multi_target = false;
+    bool call = false;
+    BranchKind kind = BranchKind::Return;
+    Addr target = 0;
 
     switch (exit.kind) {
       case ExitKind::Jump: {
-        record.kind = BranchKind::UncondDirect;
-        record.target = blocks_[exit.succs[0]].entryPc;
+        kind = BranchKind::UncondDirect;
+        target = blocks_[exit.succs[0]].entryPc;
         cur_ = exit.succs[0];
         break;
       }
       case ExitKind::Cond: {
-        record.kind = BranchKind::CondDirect;
-        record.taken = rng_.chance(exit.bias);
-        record.target = blocks_[exit.succs[1]].entryPc;
-        cur_ = record.taken ? exit.succs[1] : exit.succs[0];
+        kind = BranchKind::CondDirect;
+        taken = rng_.chance(exit.bias);
+        target = blocks_[exit.succs[1]].entryPc;
+        cur_ = taken ? exit.succs[1] : exit.succs[0];
         break;
       }
       case ExitKind::Switch: {
-        record.kind = BranchKind::IndirectJmp;
+        kind = BranchKind::IndirectJmp;
         const std::size_t idx =
             exit.behavior->nextTarget(path_, exit.succs.size(), rng_);
-        record.target = blocks_[exit.succs[idx]].entryPc;
-        record.multiTarget = exit.succs.size() > 1;
+        target = blocks_[exit.succs[idx]].entryPc;
+        multi_target = exit.succs.size() > 1;
         cur_ = exit.succs[idx];
         break;
       }
       case ExitKind::ICall: {
-        record.kind = BranchKind::IndirectCall;
+        kind = BranchKind::IndirectCall;
         const std::size_t idx =
             exit.behavior->nextTarget(path_, exit.callees.size(), rng_);
         const Function &callee = functions_[exit.callees[idx]];
-        record.target = blocks_[callee.entryBlock].entryPc;
-        record.multiTarget = exit.callees.size() > 1;
-        record.call = true;
-        if (stack_.size() >= kMaxStack)
-            stack_.erase(stack_.begin());
-        stack_.push_back({exit.succs[0], exit.pc + 4});
+        target = blocks_[callee.entryBlock].entryPc;
+        multi_target = exit.callees.size() > 1;
+        call = true;
+        pushFrame(exit.succs[0], exit.pc + 4);
         cur_ = callee.entryBlock;
         break;
       }
       case ExitKind::DCall: {
-        record.kind = BranchKind::UncondDirect;
-        record.call = true;
+        kind = BranchKind::UncondDirect;
+        call = true;
         const Function &callee = functions_[exit.callees[0]];
-        record.target = blocks_[callee.entryBlock].entryPc;
-        if (stack_.size() >= kMaxStack)
-            stack_.erase(stack_.begin());
-        stack_.push_back({exit.succs[0], exit.pc + 4});
+        target = blocks_[callee.entryBlock].entryPc;
+        pushFrame(exit.succs[0], exit.pc + 4);
         cur_ = callee.entryBlock;
         break;
       }
       case ExitKind::Ret: {
-        record.kind = BranchKind::Return;
+        kind = BranchKind::Return;
         if (stack_.empty()) {
             // Process-level loop: restart main.
             cur_ = functions_[0].entryBlock;
-            record.target = blocks_[cur_].entryPc;
+            target = blocks_[cur_].entryPc;
         } else {
             const Frame frame = stack_.back();
             stack_.pop_back();
-            record.target = frame.returnAddr;
+            target = frame.returnAddr;
             cur_ = frame.resumeBlock;
         }
         break;
       }
     }
 
-    observe(record);
-    return record;
+    // Store every field straight into the caller's slot and feed the
+    // path streams from registers, never by reloading the record.
+    record.target = target;
+    record.kind = kind;
+    record.taken = taken;
+    record.multiTarget = multi_target;
+    record.call = call;
+    path_.push(StreamKind::AllBranches, taken ? target : exit.pc + 4);
+    if (multi_target)
+        path_.push(StreamKind::MtIndirect, target);
 }
 
 void
-Program::run(std::uint64_t n, trace::BranchSink &sink)
+Program::pushFrame(std::size_t resume_block, Addr return_addr)
 {
-    for (std::uint64_t i = 0; i < n; ++i)
-        sink.push(step());
+    if (stack_.size() >= kMaxStack)
+        stack_.erase(stack_.begin());
+    stack_.push_back({resume_block, return_addr});
+}
+
+BranchRecord
+Program::step()
+{
+    BranchRecord record;
+    stepInto(record);
+    return record;
 }
 
 void
 Program::fill(BranchRecord *out, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
-        out[i] = step();
+        stepInto(out[i]);
 }
 
 trace::TraceBuffer

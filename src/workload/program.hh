@@ -106,13 +106,11 @@ class Program
     Program(Program &&) = default;
     Program &operator=(Program &&) = default;
 
-    /** Emit @p n branch records into @p sink. */
-    void run(std::uint64_t n, trace::BranchSink &sink);
-
     /**
      * Write the next @p n branch records to @p out, exactly as @p n
-     * step() calls would.  The bulk generation path: suite rows stream
-     * their trace through it one replay chunk at a time.
+     * step() calls would.  The one generation path: suite rows and
+     * trace writers stream their trace through it one replay chunk at
+     * a time, and each record is generated directly in its slot.
      */
     void fill(trace::BranchRecord *out, std::size_t n);
 
@@ -126,7 +124,8 @@ class Program
     /** Current call-stack depth (observable for tests). */
     std::size_t stackDepth() const { return stack_.size(); }
 
-    /** Emit exactly one branch record and advance. */
+    /** Emit exactly one branch record and advance (a one-record
+     *  fill()). */
     trace::BranchRecord step();
 
     /**
@@ -142,7 +141,11 @@ class Program
     void loadState(util::StateReader &reader);
 
   private:
-    void observe(const trace::BranchRecord &record);
+    /** Generate the next record into @p record and advance. */
+    void stepInto(trace::BranchRecord &record);
+
+    /** Push a call frame, dropping the oldest beyond kMaxStack. */
+    void pushFrame(std::size_t resume_block, trace::Addr return_addr);
 
     std::vector<Block> blocks_;
     std::vector<Function> functions_;

@@ -218,8 +218,7 @@ TEST(CheckpointEquivalence, WalkerResumesBitExactly)
     const workload::SynthesisParams params =
         workload::smokeProfile().program;
     workload::Program first = workload::synthesize(params);
-    trace::TraceBuffer prefix;
-    first.run(5000, prefix);
+    first.collect(5000);
 
     util::StateWriter writer;
     first.saveState(writer);

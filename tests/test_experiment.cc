@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
+#include "trace/trace_io.hh"
 #include "sim/experiment.hh"
 
 namespace {
@@ -43,6 +46,28 @@ TEST(Experiment, GenerateTraceDeterministic)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         ASSERT_EQ(a[i], b[i]);
+}
+
+TEST(Experiment, StreamedTraceContainerBytesArePinned)
+{
+    // `trace_tool gen smoke` writes exactly these container bytes.
+    // The size and FNV-1a hash were taken from the tool before it
+    // streamed through Program::fill, so the file format and the
+    // generated trace both stay fixed.
+    const auto smoke = ibp::workload::smokeProfile();
+    ibp::workload::Program program =
+        ibp::workload::synthesize(smoke.program);
+    std::ostringstream out;
+    ibp::trace::TraceWriter writer(out);
+    streamTrace(program, smoke.records, writer);
+    EXPECT_EQ(writer.count(), 50'000u);
+
+    const std::string bytes = out.str();
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (char byte : bytes)
+        hash = (hash ^ static_cast<std::uint8_t>(byte)) * 0x100000001b3ULL;
+    EXPECT_EQ(bytes.size(), 222'336u);
+    EXPECT_EQ(hash, 0xab5b4e4c128f2fe0ULL) << std::hex << hash;
 }
 
 TEST(Experiment, RunOneProducesMetrics)

@@ -15,6 +15,8 @@
 
 #include "util/serde.hh"
 #include "trace/trace_stats.hh"
+#include "workload/adversarial.hh"
+#include "workload/profiles.hh"
 #include "workload/program.hh"
 
 namespace {
@@ -343,6 +345,64 @@ TEST(Program, WalkerCheckpointBytesArePinned)
             << fnv1a(writer.bytes());
     }
     EXPECT_GT(mt_indirect, 2 * 64u) << "the PIB stream never wrapped";
+}
+
+/** FNV-1a over every field of @p n records generated by fill(). */
+std::uint64_t
+filledTraceHash(const SynthesisParams &params, std::size_t n)
+{
+    Program program = synthesize(params);
+    std::vector<BranchRecord> records(n);
+    program.fill(records.data(), records.size());
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    auto mix = [&hash](std::uint64_t value, int bytes) {
+        for (int b = 0; b < bytes; ++b)
+            hash = (hash ^ ((value >> (8 * b)) & 0xff)) * 0x100000001b3ULL;
+    };
+    for (const BranchRecord &r : records) {
+        mix(r.pc, 8);
+        mix(r.target, 8);
+        mix(static_cast<std::uint64_t>(r.kind), 1);
+        mix(r.taken ? 1 : 0, 1);
+        mix(r.multiTarget ? 1 : 0, 1);
+        mix(r.call ? 1 : 0, 1);
+    }
+    return hash;
+}
+
+TEST(Program, GeneratedTraceIsPinned)
+{
+    // The generated trace is what every suite number is computed
+    // from, so walker rewrites must reproduce it record for record.
+    // These hashes were taken from the walker before it generated
+    // records in place; FillInAnyChunkSizeMatchesStepping only
+    // compares the walker with itself.
+    const auto suite = standardSuite();
+    const BenchmarkProfile *perl = findProfile(suite, "perl");
+    const BenchmarkProfile *gcc = findProfile(suite, "gcc");
+    ASSERT_NE(perl, nullptr);
+    ASSERT_NE(gcc, nullptr);
+    struct Pin
+    {
+        const char *name;
+        SynthesisParams params;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {"perl", perl->program, 0xce3a69f9580e0d69ULL},
+        {"gcc", gcc->program, 0x392fe62ef631a23fULL},
+        {"sparse", sparseProfile(0xad06, {1, 5, 13}, 8, 0.01).program,
+         0xdd6c4cbba9f942e7ULL},
+        {"kmp",
+         matcherProfile(0xad11, "abaabab", "abaababaabaababaabab", true)
+             .program,
+         0xe558c8bfa20a6088ULL},
+    };
+    for (const Pin &pin : pins) {
+        const std::uint64_t hash = filledTraceHash(pin.params, 200'000);
+        EXPECT_EQ(hash, pin.hash)
+            << pin.name << ": 0x" << std::hex << hash;
+    }
 }
 
 TEST(Program, FillInAnyChunkSizeMatchesStepping)
