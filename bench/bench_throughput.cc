@@ -70,9 +70,9 @@ constexpr double kMinSeconds = 0.5;
 /// The bench_micro predictor set — engineering baselines, not a paper
 /// figure, so additions are cheap and encouraged.
 const std::vector<std::string> kPredictors = {
-    "BTB",     "BTB2b",   "GAp",     "TC-PIB",       "Dpath",
-    "Cascade", "PPM-hyb", "PPM-PIB", "Filtered-PPM", "ITTAGE",
-    "Perceptron",
+    "BTB",          "BTB2b",   "GAp",     "TC-PIB",
+    "Dpath",        "Cascade", "PPM-hyb", "PPM-PIB",
+    "PPM-hyb-biased", "Filtered-PPM", "ITTAGE", "Perceptron",
 };
 
 struct Timing
@@ -297,7 +297,7 @@ main(int argc, char **argv)
         results.push_back(result);
 
         std::cout << "  " << name;
-        for (std::size_t pad = name.size(); pad < 14; ++pad)
+        for (std::size_t pad = name.size(); pad < 16; ++pad)
             std::cout << ' ';
         std::cout << result.span.branchesPerSec / 1e6
                   << " M branches/s  (packed "

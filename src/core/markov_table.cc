@@ -5,10 +5,27 @@
 
 namespace ibp::core {
 
+ArenaSlot
+ArenaSlot::make(std::size_t base, std::size_t entries, unsigned shift,
+                std::uint64_t select)
+{
+    fatal_if(entries == 0, "Markov arena table needs entries");
+    fatal_if(base + entries > std::uint64_t{1} << 32,
+             "Markov arena too large: ", base + entries, " entries");
+    ArenaSlot slot;
+    slot.base = static_cast<std::uint32_t>(base);
+    slot.shift = shift;
+    if (util::isPowerOf2(entries)) {
+        slot.mask = select & (entries - 1);
+    } else {
+        slot.mask = select;
+        slot.modulo = entries;
+    }
+    return slot;
+}
+
 MarkovTable::MarkovTable(const MarkovConfig &config)
     : config_(config),
-      extMask_(util::isPowerOf2(config.entries) ? config.entries - 1
-                                                : 0),
       direct_(config.tagged || config.votingTargets > 1 ||
                       config.externalStorage
                   ? 1
@@ -49,10 +66,10 @@ MarkovTable::lookup(std::uint64_t index, std::uint64_t tag)
 }
 
 MarkovProbe
-MarkovTable::probeSlow(std::uint64_t index, std::uint64_t tag)
+MarkovTable::probe(std::uint64_t index, std::uint64_t tag)
 {
-    panic_if(config_.externalStorage && !ext_,
-             "external MarkovTable probed before bindStorage()");
+    panic_if(config_.externalStorage,
+             "bound MarkovTable probed: its arena owner walks it");
     if (config_.votingTargets > 1)
         return probeVoting(index);
     if (!config_.tagged) {
@@ -86,11 +103,11 @@ MarkovTable::probeVoting(std::uint64_t index)
 }
 
 void
-MarkovTable::trainSlow(std::uint64_t index, std::uint64_t tag,
-                       trace::Addr target)
+MarkovTable::train(std::uint64_t index, std::uint64_t tag,
+                   trace::Addr target)
 {
-    panic_if(config_.externalStorage && !ext_,
-             "external MarkovTable trained before bindStorage()");
+    panic_if(config_.externalStorage,
+             "bound MarkovTable trained: its arena owner walks it");
     if (config_.votingTargets > 1) {
         trainVoting(index, target);
         return;

@@ -15,8 +15,10 @@
  * binds each of its orders to a slice of one contiguous arena
  * (MarkovConfig::externalStorage + bindStorage()), so the order-m..1
  * probe sequence walks one allocation instead of pointer-chasing m
- * separately allocated vectors.  The bound fast path is inline here so
- * Ppm's probe loop compiles down to a load + two bit tests per order.
+ * separately allocated vectors.  The stack walks that arena itself
+ * through one ArenaSlot per order; a bound table only describes its
+ * slice (order, size, storage cost, occupancy) and is never probed or
+ * trained directly.
  */
 
 #ifndef IBP_CORE_MARKOV_TABLE_HH_
@@ -50,11 +52,43 @@ struct MarkovConfig
     unsigned votingTargets = 1;
 
     /**
-     * Entries live in an arena owned by the caller, who must
-     * bindStorage() before first use.  Untagged, non-voting tables
-     * only (the PPM stack's flattened hot path).
+     * Entries live in an arena owned by the caller, who binds the
+     * table to its slice (bindStorage()) and reads and trains the
+     * entries itself.  Untagged, non-voting tables only (the PPM
+     * stack's flattened hot path).
      */
     bool externalStorage = false;
+};
+
+/**
+ * Where a hash lands in a flat Markov arena: the index bits
+ * (hash >> shift) & mask, reduced to the table's size, offset to the
+ * table's slice.  Ppm's order walk reads and trains its arena through
+ * these alone, so a power-of-two table costs one shift, one mask and
+ * one add per lookup.
+ */
+struct ArenaSlot
+{
+    std::uint64_t mask = ~std::uint64_t{0}; ///< select (& entries-1)
+    std::uint64_t modulo = 0;  ///< entries off powers of two, else 0
+    std::uint32_t base = 0;    ///< the table's first arena entry
+    std::uint32_t shift = 0;
+
+    /**
+     * The slot function of a table of @p entries entries at arena
+     * offset @p base, indexed by (hash >> @p shift) & @p select.  On
+     * power-of-two sizes the reduce folds into the select mask.
+     */
+    static ArenaSlot make(std::size_t base, std::size_t entries,
+                          unsigned shift, std::uint64_t select);
+
+    std::size_t
+    operator()(std::uint64_t hash) const
+    {
+        const std::uint64_t index = (hash >> shift) & mask;
+        return base + (modulo ? index % modulo // ibp-lint: allow(table-modulo)
+                              : index);
+    }
 };
 
 /** Result of probing one Markov state (prediction + confidence). */
@@ -91,29 +125,15 @@ class MarkovTable
     pred::Prediction lookup(std::uint64_t index, std::uint64_t tag);
 
     /** As lookup(), additionally reporting the entry's confidence. */
-    MarkovProbe
-    probe(std::uint64_t index, std::uint64_t tag)
-    {
-        if (ext_) {
-            const pred::TargetEntry &entry = ext_[extReduce(index)];
-            return {entry.valid, entry.counter.high(), entry.target};
-        }
-        return probeSlow(index, tag);
-    }
+    MarkovProbe probe(std::uint64_t index, std::uint64_t tag);
 
     /**
      * Train the state addressed by (@p index, @p tag) with the
-     * resolved target, allocating it if empty.
+     * resolved target, allocating it if empty.  Self-owned tables
+     * only, as are lookup() and probe(): the owner of a bound table's
+     * arena reads and trains it (see ArenaSlot).
      */
-    void
-    train(std::uint64_t index, std::uint64_t tag, trace::Addr target)
-    {
-        if (ext_) {
-            ext_[extReduce(index)].train(target);
-            return;
-        }
-        trainSlow(index, tag, target);
-    }
+    void train(std::uint64_t index, std::uint64_t tag, trace::Addr target);
 
     /** Storage cost in bits. */
     std::uint64_t storageBits() const;
@@ -149,25 +169,11 @@ class MarkovTable
         std::vector<Arc> arcs;
     };
 
-    std::uint64_t
-    extReduce(std::uint64_t index) const
-    {
-        // The hot-path copy of util::reduceIndex with the power-of-two
-        // mask precomputed; the modulo arm only runs for non-pow2
-        // ablation geometries.
-        return extMask_ ? (index & extMask_)
-                        : (index % config_.entries); // ibp-lint: allow(table-modulo)
-    }
-
-    MarkovProbe probeSlow(std::uint64_t index, std::uint64_t tag);
-    void trainSlow(std::uint64_t index, std::uint64_t tag,
-                   trace::Addr target);
     MarkovProbe probeVoting(std::uint64_t index);
     void trainVoting(std::uint64_t index, trace::Addr target);
 
     MarkovConfig config_;
     pred::TargetEntry *ext_ = nullptr; ///< bound arena slice, or null
-    std::uint64_t extMask_ = 0;        ///< entries-1 when a power of 2
     util::DirectTable<pred::TargetEntry> direct_;
     util::AssocTable<pred::TargetEntry> assoc_;
     util::DirectTable<VoteEntry> voting_;

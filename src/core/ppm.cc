@@ -46,6 +46,10 @@ Ppm::Ppm(const PpmConfig &config)
         std::size_t offset = 0;
         for (unsigned i = 0; i < m; ++i) {
             tables_[i].bindStorage(arena_.data() + offset);
+            // Sfsxs::index(word, j) as a shift and a mask.
+            const unsigned j = m - i;
+            orderSlots_.push_back(ArenaSlot::make(
+                offset, entries[i], hash_.indexShift(j), util::maskLow(j)));
             offset += entries[i];
         }
     }
@@ -67,83 +71,20 @@ Ppm::predict(const pred::SymbolHistory &phr, trace::Addr pc)
 }
 
 pred::Prediction
-Ppm::predictHashed(std::uint64_t word, trace::Addr pc)
+Ppm::predictTables(std::uint64_t word, trace::Addr pc)
 {
-    const unsigned m = config_.hash.order;
-    lastWord_ = word;
-    lastTag = config_.tagged ? tagFor(pc, word) : 0;
-
-    lastValid = false;
-    lastOrder_ = 0;
-    pred::Prediction result;
-
-    // Fallback used by the confidence policy: the highest-order valid
-    // (but unconfident) state, taken only if nothing confident exists.
-    pred::Prediction fallback;
-    unsigned fallback_order = 0;
-
-    // Walk order m down to 1 and stop at the deciding entry: lower
-    // orders were never probed once a result existed, so breaking out
-    // probes the exact same sequence of tables as the full walk.
-    for (unsigned i = 0; i < m; ++i) {
-        const unsigned j = m - i;
-        const MarkovProbe probe =
-            tables_[i].probe(hash_.index(word, j), lastTag);
-        if (!probe.valid) {
-            escapes_.sample(j);
-            continue;
-        }
-        if (config_.selectPolicy == SelectPolicy::HighestValid ||
-            probe.confident) {
-            result = {true, probe.target};
-            lastOrder_ = j;
-            break;
-        } else if (!fallback.valid) {
-            fallback = {true, probe.target};
-            fallback_order = j;
-        }
-    }
-    if (!result.valid && fallback.valid) {
-        result = fallback;
-        lastOrder_ = fallback_order;
-    }
-
-    if (!result.valid && config_.orderZero && zeroValid) {
-        result = {true, zeroTarget};
-        lastOrder_ = 0;
-    }
-
-    accesses_.sample(lastOrder_);
-    lastValid = result.valid;
-    lastTarget = result.target;
-    return result;
+    const std::uint64_t tag = config_.tagged ? tagFor(pc, word) : 0;
+    return walk(word, tag, [&](unsigned i, unsigned j) {
+        return tables_[i].probe(hash_.index(word, j), tag);
+    });
 }
 
 void
-Ppm::update(trace::Addr target)
+Ppm::trainTables(trace::Addr target)
 {
-    const unsigned m = config_.hash.order;
-    if (lastValid && lastTarget != target)
-        misses_.sample(lastOrder_);
-    else if (!lastValid)
-        misses_.sample(lastOrder_);
-
-    // Update exclusion: train the deciding order and everything above
-    // it.  When nothing predicted (lastOrder_ == 0) every table is
-    // trained, seeding the stack.  The inclusive policy (paper §6
-    // "modify the update protocol") trains every order always.
-    for (unsigned i = 0; i < m; ++i) {
-        const unsigned j = m - i;
-        if (config_.updatePolicy == UpdatePolicy::Exclusion &&
-            j < lastOrder_)
-            break;
+    trainOrders([&](unsigned i, unsigned j) {
         tables_[i].train(hash_.index(lastWord_, j), lastTag, target);
-    }
-
-    if (config_.orderZero) {
-        zeroValid = true;
-        zeroTarget = target;
-    }
+    });
 }
 
 std::uint64_t
@@ -236,8 +177,11 @@ Ppm::reset()
     accesses_.reset();
     misses_.reset();
     escapes_.reset();
+    lastWord_ = 0;
+    lastTag = 0;
     lastValid = false;
     lastOrder_ = 0;
+    lastTarget = 0;
     zeroValid = false;
     zeroTarget = 0;
 }

@@ -100,14 +100,60 @@ class Ppm
      * equal hash().hashWord(phr, pc) for the history the caller
      * tracks; everything downstream (probe walk, captured slots,
      * statistics) is shared with the PHR overload.
+     *
+     * Inline, with update(): a flat stack (the default untagged,
+     * non-voting one) walks its arena right here, so in the replay
+     * loop each order costs one shift, one mask and one load.  Tagged
+     * and voting stacks probe their MarkovTables out of line.
      */
-    pred::Prediction predictHashed(std::uint64_t word, trace::Addr pc);
+    pred::Prediction
+    predictHashed(std::uint64_t word, trace::Addr pc)
+    {
+        if (orderSlots_.empty())
+            return predictTables(word, pc);
+        return walk(word, 0, [&](unsigned, unsigned j) {
+            return arenaProbe(j, word);
+        });
+    }
+
+    /**
+     * The order-@p j state that hash word @p word selects in a flat
+     * stack's arena: the entry predictHashed() probes for that order.
+     * Flat stacks only; a tagged or voting stack's states are read
+     * through table().
+     */
+    MarkovProbe
+    arenaProbe(unsigned j, std::uint64_t word) const
+    {
+        ibp_table_check(j == 0 || j > orderSlots_.size(),
+                        "PPM arena order out of range: ", j);
+        const pred::TargetEntry &entry =
+            arena_[orderSlots_[config_.hash.order - j](word)];
+        return {entry.valid, entry.counter.high(), entry.target};
+    }
 
     /**
      * Train with the resolved target under update exclusion, using
      * the slots captured by the preceding predict().
      */
-    void update(trace::Addr target);
+    void
+    update(trace::Addr target)
+    {
+        if (!lastValid || lastTarget != target)
+            misses_.sample(lastOrder_);
+        if (orderSlots_.empty()) {
+            trainTables(target);
+        } else {
+            pred::TargetEntry *arena = arena_.data();
+            trainOrders([&](unsigned i, unsigned) {
+                arena[orderSlots_[i](lastWord_)].train(target);
+            });
+        }
+        if (config_.orderZero) {
+            zeroValid = true;
+            zeroTarget = target;
+        }
+    }
 
     /** Order that produced the last prediction (0 = none/fallback). */
     unsigned lastOrder() const { return lastOrder_; }
@@ -153,6 +199,85 @@ class Ppm
   private:
     std::uint64_t tagFor(trace::Addr pc, std::uint64_t word) const;
 
+    /** predictHashed()/update() for tagged and voting stacks, through
+     *  each order's MarkovTable. */
+    pred::Prediction predictTables(std::uint64_t word, trace::Addr pc);
+    void trainTables(trace::Addr target);
+
+    /**
+     * The order-m..1 probe walk under the configured select policy,
+     * shared by both storage layouts.  @p probe(i, j) probes table i
+     * (order j).  Stops at the deciding entry: lower orders were never
+     * probed once a result existed, so breaking out probes the exact
+     * same sequence of tables as the full walk.
+     */
+    template <typename Probe>
+    pred::Prediction
+    walk(std::uint64_t word, std::uint64_t tag, Probe probe)
+    {
+        const unsigned m = config_.hash.order;
+        lastWord_ = word;
+        lastTag = tag;
+        pred::Prediction result;
+        unsigned order = 0;
+        // Fallback used by the confidence policy: the highest-order
+        // valid (but unconfident) state, taken only if nothing
+        // confident exists.
+        pred::Prediction fallback;
+        unsigned fallback_order = 0;
+        for (unsigned i = 0; i < m; ++i) {
+            const unsigned j = m - i;
+            const MarkovProbe state = probe(i, j);
+            if (!state.valid) {
+                escapes_.sample(j);
+                continue;
+            }
+            if (config_.selectPolicy == SelectPolicy::HighestValid ||
+                state.confident) {
+                result = {true, state.target};
+                order = j;
+                break;
+            }
+            if (!fallback.valid) {
+                fallback = {true, state.target};
+                fallback_order = j;
+            }
+        }
+        if (!result.valid && fallback.valid) {
+            result = fallback;
+            order = fallback_order;
+        }
+        if (!result.valid && config_.orderZero && zeroValid) {
+            result = {true, zeroTarget};
+            order = 0;
+        }
+        lastOrder_ = order;
+        accesses_.sample(order);
+        lastValid = result.valid;
+        lastTarget = result.target;
+        return result;
+    }
+
+    /**
+     * Update exclusion: @p train(i, j) the deciding order and every
+     * order above it.  When nothing predicted (lastOrder_ == 0) every
+     * table is trained, seeding the stack.  The inclusive policy
+     * (paper §6 "modify the update protocol") trains every order.
+     */
+    template <typename Train>
+    void
+    trainOrders(Train train)
+    {
+        const unsigned m = config_.hash.order;
+        for (unsigned i = 0; i < m; ++i) {
+            const unsigned j = m - i;
+            if (config_.updatePolicy == UpdatePolicy::Exclusion &&
+                j < lastOrder_)
+                break;
+            train(i, j);
+        }
+    }
+
     PpmConfig config_;
     Sfsxs hash_;
     std::vector<MarkovTable> tables_; ///< [0] = order m ... [m-1] = 1
@@ -166,6 +291,10 @@ class Ppm
      * Empty for tagged/voting stacks, which keep per-table storage.
      */
     std::vector<pred::TargetEntry> arena_;
+    /** Per order ([0] = order m), the arena slot of a hash word:
+     *  SFSXS select, table reduce and slice offset in one ArenaSlot.
+     *  Empty exactly when arena_ is. */
+    std::vector<ArenaSlot> orderSlots_;
 
     // Slots captured at predict time.  Only the hash word is kept:
     // per-order indices are a shift/mask away (Sfsxs::index), so

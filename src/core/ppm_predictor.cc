@@ -29,6 +29,22 @@ PpmPredictor::PpmPredictor(const PpmPredictorConfig &config,
       pibWord_(config.ppm.hash),
       biu_(config.biu)
 {
+    for (unsigned kind = 0;
+         kind <= static_cast<unsigned>(trace::BranchKind::Return);
+         ++kind) {
+        for (bool multi_target : {false, true}) {
+            trace::BranchRecord record;
+            record.kind = static_cast<trace::BranchKind>(kind);
+            record.multiTarget = multi_target;
+            unsigned streams = 0;
+            if (pred::inStream(config_.pbStream, record))
+                streams |= kPbStream;
+            if (pred::inStream(config_.pibStream, record))
+                streams |= kPibStream;
+            streamTable_[membershipSlot(record.kind, multi_target)] =
+                static_cast<std::uint8_t>(streams);
+        }
+    }
 }
 
 void

@@ -114,21 +114,36 @@ class PpmPredictor final : public pred::IndirectPredictor
      *  directly in its SFSXS-hashed form (see SfsxsWord) — the hash is
      *  the registers' only consumer, so the folded ring is the
      *  complete architectural state and predict() reads a ready-made
-     *  word in O(1).  The path symbol is computed once even when the
-     *  record is in both streams. */
+     *  word in O(1).  Stream membership is one table load, and the
+     *  path symbol is selected and folded once even when the record
+     *  is in both streams. */
     void
     observe(const trace::BranchRecord &record) override
     {
-        const bool pb = pred::inStream(config_.pbStream, record);
-        const bool pib = pred::inStream(config_.pibStream, record);
-        if (!pb && !pib)
+        const unsigned streams = membership(record);
+        if (streams == 0)
             return;
-        const auto symbol = static_cast<std::uint32_t>(
-            pred::pathSymbol(record, config_.phrBitsPerTarget));
-        if (pb)
-            pbWord_.push(symbol);
-        if (pib)
-            pibWord_.push(symbol);
+        const std::uint32_t folded =
+            pibWord_.fold(static_cast<std::uint32_t>(
+                pred::pathSymbol(record, config_.phrBitsPerTarget)));
+        if (streams & kPbStream)
+            pbWord_.pushFolded(folded);
+        if (streams & kPibStream)
+            pibWord_.pushFolded(folded);
+    }
+
+    /** membership() bits: the record enters the PB / PIB register. */
+    static constexpr unsigned kPbStream = 1;
+    static constexpr unsigned kPibStream = 2;
+
+    /** Which registers @p record enters: pred::inStream() of the
+     *  configured PB and PIB streams, read from a table built at
+     *  construction and indexed by branch kind and multi-target bit. */
+    unsigned
+    membership(const trace::BranchRecord &record) const
+    {
+        return streamTable_[membershipSlot(record.kind,
+                                           record.multiTarget)];
     }
 
     void snapshotProbes(obs::ProbeRegistry &registry) const override;
@@ -149,6 +164,16 @@ class PpmPredictor final : public pred::IndirectPredictor
     double pibSelectRatio() const;
 
   private:
+    /** Branch kinds x the multi-target bit. */
+    static constexpr unsigned kMembershipSlots =
+        2 * (static_cast<unsigned>(trace::BranchKind::Return) + 1);
+
+    static constexpr unsigned
+    membershipSlot(trace::BranchKind kind, bool multi_target)
+    {
+        return 2 * static_cast<unsigned>(kind) + (multi_target ? 1 : 0);
+    }
+
     SelectionMode
     selectionMode() const
     {
@@ -176,6 +201,9 @@ class PpmPredictor final : public pred::IndirectPredictor
      *  prediction. */
     SfsxsWord pbWord_;
     SfsxsWord pibWord_;
+    /** membership() bits per membershipSlot(); wiring derived from
+     *  the stream config, not predictor state. */
+    std::uint8_t streamTable_[kMembershipSlots] = {};
     Biu biu_;
 
     pred::Prediction lastPrediction;

@@ -18,7 +18,6 @@
 #define IBP_CORE_SFSXS_HH_
 
 #include <cstdint>
-#include <vector>
 
 #include "util/bitops.hh"
 #include "predictors/path_history.hh"
@@ -93,9 +92,18 @@ class Sfsxs
     {
         ibp_table_check(j == 0 || j > config_.order,
                         "SFSXS order index out of range: ", j);
-        if (config_.highOrderSelect)
-            return (hash_word >> (wordBits_ - j)) & util::maskLow(j);
-        return hash_word & util::maskLow(j);
+        return (hash_word >> indexShift(j)) & util::maskLow(j);
+    }
+
+    /**
+     * The final select's policy: how far index() shifts the hash word
+     * down before keeping its low @p j bits — the j highest-order bits
+     * (the paper) or the j lowest.
+     */
+    unsigned
+    indexShift(unsigned j) const
+    {
+        return config_.highOrderSelect ? wordBits_ - j : 0;
     }
 
     const SfsxsConfig &config() const { return config_; }
@@ -122,75 +130,75 @@ class Sfsxs
  * tracked word is bit-identical to a rebuild from the backing PHR at
  * every step (asserted by the unit tests).  The caller applies
  * Sfsxs::mixPc() at lookup time, since the pc is per-prediction.
+ *
+ * Every register of a PPM predictor shares one geometry, so a symbol
+ * is folded (fold()) apart from being pushed (pushFolded()): a record
+ * that enters several registers is folded once.  The fold geometry is resolved at
+ * construction, and the ring is an inline array of 16-bit folds (no
+ * heap ring whose slots the compiler must assume alias the word).
  */
 class SfsxsWord
 {
   public:
-    explicit SfsxsWord(const SfsxsConfig &config)
-        : hash_(config), folded_(config.order, 0)
-    {}
+    /** Ring capacity: Sfsxs caps the word at 63 bits with at least
+     *  one fold bit, so no legal order exceeds 63. */
+    static constexpr unsigned kMaxOrder = 64;
 
-    /** Advance on a symbol entering the backing history register. */
-    void
-    push(std::uint32_t symbol)
+    explicit SfsxsWord(const SfsxsConfig &config);
+
+    /** A path symbol selected and folded down to foldBits; equal to
+     *  Sfsxs::foldedSymbol() for this word's configuration. */
+    std::uint32_t
+    fold(std::uint32_t symbol) const
     {
-        const std::uint64_t newest = hash_.foldedSymbol(symbol);
+        std::uint32_t rest = symbol & selectMask_;
+        std::uint32_t folded = 0;
+        for (unsigned chunk = 0; chunk < chunks_; ++chunk) {
+            folded ^= rest & foldMask_;
+            rest >>= foldBits_;
+        }
+        return folded;
+    }
+
+    /** Advance on a symbol already passed through fold(). */
+    void
+    pushFolded(std::uint32_t folded)
+    {
         // The ring mirrors SymbolHistory: head_ walks backwards, and
         // the slot it lands on holds the outgoing oldest fold.
-        head_ = head_ == 0 ? folded_.size() - 1 : head_ - 1;
-        word_ = ((word_ ^ folded_[head_]) >> 1) ^
-                (newest << (folded_.size() - 1));
-        folded_[head_] = newest;
+        head_ = (head_ == 0 ? order_ : head_) - 1;
+        word_ = ((word_ ^ ring_[head_]) >> 1) ^
+                (std::uint64_t{folded} << (order_ - 1));
+        ring_[head_] = static_cast<std::uint16_t>(folded);
     }
 
     /** The current pre-mixPc hash word. */
     std::uint64_t word() const { return word_; }
 
-    void
-    reset()
-    {
-        for (auto &f : folded_)
-            f = 0;
-        head_ = 0;
-        word_ = 0;
-    }
+    void reset();
 
-    /** Serialize the fold ring, head and tracked word. */
-    void
-    saveState(util::StateWriter &writer) const
-    {
-        writer.writeVarint(folded_.size());
-        for (std::uint64_t f : folded_)
-            writer.writeU64(f);
-        writer.writeVarint(head_);
-        writer.writeU64(word_);
-    }
+    /** Serialize the fold ring (one U64 per slot), head and word. */
+    void saveState(util::StateWriter &writer) const;
 
-    /** Restore a saved ring; the order must match this word's. */
-    void
-    loadState(util::StateReader &reader)
-    {
-        const std::uint64_t order = reader.readVarint();
-        if (reader.ok() && order != folded_.size()) {
-            reader.fail("SfsxsWord order mismatch");
-            return;
-        }
-        for (auto &f : folded_)
-            f = reader.readU64();
-        const std::uint64_t head = reader.readVarint();
-        if (reader.ok() && head >= folded_.size()) {
-            reader.fail("SfsxsWord head out of range");
-            return;
-        }
-        head_ = static_cast<std::size_t>(head);
-        word_ = reader.readU64();
-    }
+    /**
+     * Restore a saved ring.  The order must match this word's, every
+     * slot must fit the fold width, and the word must be the XOR sum
+     * the ring and head imply; anything else fails the reader.
+     */
+    void loadState(util::StateReader &reader);
 
   private:
-    Sfsxs hash_;
-    std::vector<std::uint64_t> folded_; ///< ring; head_ = most recent
-    std::size_t head_ = 0;
+    /** The XOR sum of the ring's folds at their recency shifts. */
+    std::uint64_t ringWord() const;
+
     std::uint64_t word_ = 0;
+    std::uint32_t selectMask_ = 0;
+    std::uint32_t foldMask_ = 0;
+    unsigned foldBits_ = 0;
+    unsigned chunks_ = 0; ///< foldBits-wide chunks in a selected symbol
+    unsigned order_ = 0;
+    unsigned head_ = 0; ///< ring slot of the most recent fold
+    std::uint16_t ring_[kMaxOrder] = {};
 };
 
 } // namespace ibp::core

@@ -152,6 +152,9 @@ PathComponent::reset()
     history_.reset();
     direct_.reset();
     assoc_.reset();
+    lastIndex = 0;
+    lastSet = 0;
+    lastTag = 0;
     haveSlot_ = false;
 }
 

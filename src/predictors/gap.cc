@@ -45,6 +45,7 @@ Gap::reset()
     history_.reset();
     for (auto &pht : phts_)
         pht.reset();
+    lastSlot = {0, 0};
 }
 
 void

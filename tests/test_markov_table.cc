@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/bitops.hh"
+#include "util/random.hh"
 #include "core/markov_table.hh"
 
 namespace {
@@ -105,6 +107,31 @@ TEST(MarkovTable, OrderAccessor)
     MarkovTable table({7, 8, false, 2, 8});
     EXPECT_EQ(table.order(), 7u);
     EXPECT_EQ(table.entries(), 8u);
+}
+
+TEST(ArenaSlot, IsSelectThenReduceIndexPlusBase)
+{
+    // The folded mask on power-of-two sizes and the modulo arm
+    // elsewhere must both equal the generic select-then-reduce.
+    ibp::util::Rng rng(0xA5E7);
+    for (std::size_t entries : {2u, 3u, 6u, 768u, 1000u, 1024u}) {
+        for (unsigned shift : {0u, 5u, 23u}) {
+            for (unsigned bits : {1u, 7u, 10u, 12u}) {
+                const std::uint64_t select = ibp::util::maskLow(bits);
+                const ArenaSlot slot =
+                    ArenaSlot::make(17, entries, shift, select);
+                for (int i = 0; i < 200; ++i) {
+                    const std::uint64_t word = rng();
+                    ASSERT_EQ(slot(word),
+                              17 + ibp::util::reduceIndex(
+                                       (word >> shift) & select,
+                                       entries))
+                        << entries << " entries, shift " << shift
+                        << ", " << bits << " bits";
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -150,8 +150,7 @@ TEST(Ppm, UpdateExclusionLeavesLowerOrdersAlone)
 
     // Inspect order-1 directly: it must still hold the original X.
     const std::uint64_t word = ppm.hash().hashWord(phr, 0x1000);
-    const auto low = const_cast<MarkovTable &>(ppm.table(1))
-                         .lookup(ppm.hash().index(word, 1), 0);
+    const auto low = ppm.arenaProbe(1, word);
     ASSERT_TRUE(low.valid);
     EXPECT_EQ(low.target, 0x120002000u);
 }

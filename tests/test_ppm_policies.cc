@@ -62,8 +62,7 @@ TEST(PpmInclusive, TrainsEveryOrder)
     ppm.predict(phr, 0x1000);
     ppm.update(0x120003000);
     const std::uint64_t word = ppm.hash().hashWord(phr, 0x1000);
-    const auto low = const_cast<MarkovTable &>(ppm.table(1))
-                         .lookup(ppm.hash().index(word, 1), 0);
+    const auto low = ppm.arenaProbe(1, word);
     ASSERT_TRUE(low.valid);
     EXPECT_EQ(low.target, 0x120003000u);
 }

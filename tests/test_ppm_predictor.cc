@@ -4,9 +4,11 @@
  */
 
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/serde.hh"
 #include "core/ppm_predictor.hh"
 
 namespace {
@@ -215,6 +217,105 @@ TEST(PpmPredictor, BiasedVariantUsesBiasedMachine)
     // the correlation tests.  The biased run must select PIB at least
     // as often as the normal run.
     EXPECT_GE(drive(biased), drive(normal));
+}
+
+TEST(PpmPredictor, MembershipTableMatchesInStream)
+{
+    using ibp::pred::StreamSel;
+    const StreamSel streams[] = {
+        StreamSel::AllBranches, StreamSel::AllIndirect,
+        StreamSel::MtIndirect, StreamSel::CallsReturns,
+    };
+    for (StreamSel pb : streams) {
+        for (StreamSel pib : streams) {
+            PpmPredictorConfig config = smallConfig(PpmVariant::Hybrid);
+            config.pbStream = pb;
+            config.pibStream = pib;
+            const PpmPredictor ppm(config);
+            for (unsigned kind = 0;
+                 kind <= static_cast<unsigned>(BranchKind::Return);
+                 ++kind) {
+                for (bool multi_target : {false, true}) {
+                    BranchRecord r;
+                    r.kind = static_cast<BranchKind>(kind);
+                    r.multiTarget = multi_target;
+                    const unsigned bits = ppm.membership(r);
+                    EXPECT_EQ((bits & PpmPredictor::kPbStream) != 0,
+                              ibp::pred::inStream(pb, r))
+                        << "PB kind " << kind << " mt " << multi_target;
+                    EXPECT_EQ((bits & PpmPredictor::kPibStream) != 0,
+                              ibp::pred::inStream(pib, r))
+                        << "PIB kind " << kind << " mt " << multi_target;
+                }
+            }
+        }
+    }
+}
+
+/** A warmed PPM-hyb's state bytes, and where its PB register's
+ *  serialized fold ring starts in them. */
+struct WarmState
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t pbWordOffset;
+};
+
+WarmState
+warmHybrid()
+{
+    PpmPredictor ppm(paperPpmConfig(PpmVariant::Hybrid));
+    for (unsigned i = 0; i < 37; ++i) {
+        const ibp::trace::Addr pc = 0x120000040 + 0x40 * (i % 3);
+        const ibp::trace::Addr target = 0x120004000 + 0x1c4 * (i % 7);
+        ppm.predictAndUpdate(pc, target);
+        ppm.observe(mtJmp(pc, target));
+        ppm.observe(cond(0x120000100 + 4 * i, 0x120000200, i % 2 == 0));
+    }
+    ibp::util::StateWriter core;
+    ppm.core().saveState(core);
+    ibp::util::StateWriter all;
+    ppm.saveState(all);
+    return {all.bytes(), core.bytes().size()};
+}
+
+bool
+loads(const std::vector<std::uint8_t> &bytes)
+{
+    PpmPredictor fresh(paperPpmConfig(PpmVariant::Hybrid));
+    ibp::util::StateReader reader(bytes);
+    fresh.loadState(reader);
+    return reader.ok();
+}
+
+TEST(PpmPredictor, LoadStateRoundTripsAWarmRegister)
+{
+    const WarmState warm = warmHybrid();
+    PpmPredictor fresh(paperPpmConfig(PpmVariant::Hybrid));
+    ibp::util::StateReader reader(warm.bytes);
+    fresh.loadState(reader);
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+    ibp::util::StateWriter again;
+    fresh.saveState(again);
+    EXPECT_EQ(again.bytes(), warm.bytes);
+}
+
+TEST(PpmPredictor, LoadStateRejectsASlotWiderThanTheFold)
+{
+    // PB register layout: varint order (1 byte), then one U64 per
+    // slot.  Slot 0 = 0x100 does not fit a 5-bit fold.
+    WarmState warm = warmHybrid();
+    ASSERT_EQ(warm.bytes[warm.pbWordOffset], 10u);
+    warm.bytes[warm.pbWordOffset + 1 + 1] = 0x01;
+    EXPECT_FALSE(loads(warm.bytes));
+}
+
+TEST(PpmPredictor, LoadStateRejectsAWordTheRingDoesNotImply)
+{
+    // After the order varint, 10 slots and the 1-byte head varint
+    // comes the U64 word; flip its lowest bit.
+    WarmState warm = warmHybrid();
+    warm.bytes[warm.pbWordOffset + 1 + 10 * 8 + 1] ^= 0x01;
+    EXPECT_FALSE(loads(warm.bytes));
 }
 
 } // namespace

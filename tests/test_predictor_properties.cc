@@ -301,6 +301,31 @@ TEST_P(PredictorPropertyTest, SingleSteppedReplayIsBitIdentical)
         << "architectural state diverged under single-stepping";
 }
 
+TEST_P(PredictorPropertyTest, ResetRestoresColdStateBytes)
+{
+    // reset() promises to clear all state, so a checkpoint taken right
+    // after it must be the cold checkpoint, byte for byte — not merely
+    // a state that predicts like a cold one.
+    static const std::vector<ibp::trace::BranchRecord> perl = [] {
+        const auto suite = ibp::workload::standardSuite();
+        const auto *profile = ibp::workload::findProfile(suite, "perl");
+        std::vector<ibp::trace::BranchRecord> records(20'000);
+        if (profile) {
+            ibp::workload::Program program =
+                ibp::workload::synthesize(profile->program);
+            program.fill(records.data(), records.size());
+        }
+        return records;
+    }();
+    auto used = makePredictor(GetParam());
+    ReplaySession session;
+    session.feed(perl.data(), perl.size(), *used);
+    ASSERT_GT(session.metrics().mtIndirect, 0u);
+    used->reset();
+    EXPECT_EQ(stateBytes(*used), stateBytes(*makePredictor(GetParam())))
+        << "reset() left state a fresh instance does not have";
+}
+
 // ---------------------------------------------------------------------
 // ITTAGE-specific properties.  The lineup-wide invariants above cover
 // the new predictors through allPredictors(); these pin the three

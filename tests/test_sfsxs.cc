@@ -10,6 +10,7 @@
 
 #include "util/bitops.hh"
 #include "util/random.hh"
+#include "util/serde.hh"
 #include "core/sfsxs.hh"
 
 namespace {
@@ -165,7 +166,7 @@ TEST(SfsxsWord, TracksHashWordOverRandomStreams)
             const auto sym =
                 static_cast<std::uint32_t>(rng.below(1u << 10));
             phr.push(sym);
-            word.push(sym);
+            word.pushFolded(word.fold(sym));
             // mixPc(word, pc) with xorPc off just masks; pc ignored.
             ASSERT_EQ(hash.mixPc(word.word(), 0),
                       hash.hashWord(phr, 0))
@@ -187,8 +188,90 @@ TEST(SfsxsWord, MixPcMatchesXorPcConfiguration)
     for (int i = 0; i < 200; ++i) {
         const auto sym = static_cast<std::uint32_t>(rng.below(1u << 10));
         phr.push(sym);
-        word.push(sym);
+        word.pushFolded(word.fold(sym));
         const ibp::trace::Addr pc = rng() & ((1ull << 40) - 1);
         ASSERT_EQ(hash.mixPc(word.word(), pc), hash.hashWord(phr, pc));
     }
+}
+
+TEST(SfsxsWord, FoldMatchesFoldedSymbol)
+{
+    // fold() resolves its geometry at construction; it must agree with
+    // the generic foldXor() select/fold for every symbol, including
+    // select widths that are not a multiple of the fold width.
+    const std::vector<SfsxsConfig> configs = {
+        {10, 10, 5, true, false}, {1, 10, 5, true, false},
+        {7, 10, 3, true, false},  {4, 6, 6, true, false},
+        {48, 32, 16, true, false}, {20, 32, 1, true, false},
+    };
+    ibp::util::Rng rng(0xF01D);
+    for (const auto &config : configs) {
+        const Sfsxs hash(config);
+        const SfsxsWord word(config);
+        for (int i = 0; i < 2000; ++i) {
+            const auto sym = static_cast<std::uint32_t>(rng());
+            ASSERT_EQ(word.fold(sym), hash.foldedSymbol(sym))
+                << "select " << config.selectBits << " fold "
+                << config.foldBits << " symbol " << sym;
+        }
+    }
+}
+
+TEST(SfsxsWord, TracksHashWordAtOrderOneAndWidestGeometry)
+{
+    // Order 1 (a one-slot ring) and the widest legal word: 16-bit
+    // folds over 48 targets fill all 63 bits.  After the ring has
+    // wrapped several times, a save/load round trip must resume the
+    // exact same word.
+    const std::vector<SfsxsConfig> configs = {
+        {1, 10, 5, true, false},
+        {48, 32, 16, true, false},
+    };
+    ibp::util::Rng rng(0x1D63);
+    for (const auto &config : configs) {
+        const Sfsxs hash(config);
+        ASSERT_LE(hash.wordBits(), 63u);
+        SfsxsWord word(config);
+        SymbolHistory phr(config.order, 32, StreamSel::MtIndirect);
+        auto step = [&](SfsxsWord &w) {
+            const auto sym = static_cast<std::uint32_t>(rng());
+            phr.push(sym);
+            w.pushFolded(w.fold(sym));
+            ASSERT_EQ(hash.mixPc(w.word(), 0), hash.hashWord(phr, 0))
+                << "order " << config.order;
+        };
+        for (unsigned i = 0; i < 5 * config.order + 3; ++i)
+            step(word);
+
+        ibp::util::StateWriter writer;
+        word.saveState(writer);
+        SfsxsWord restored(config);
+        ibp::util::StateReader reader(writer.bytes());
+        restored.loadState(reader);
+        ASSERT_TRUE(reader.ok()) << reader.status().message();
+        EXPECT_TRUE(reader.atEnd());
+        EXPECT_EQ(restored.word(), word.word());
+        for (unsigned i = 0; i < 2 * config.order + 1; ++i)
+            step(restored);
+    }
+}
+
+TEST(SfsxsWord, SaveStateLayoutIsOneU64PerSlot)
+{
+    // The 16-bit ring still serializes as varint order, one U64 per
+    // slot, varint head and the U64 word.
+    const SfsxsConfig config{10, 10, 5, true, false};
+    SfsxsWord word(config);
+    for (std::uint32_t sym = 1; sym <= 13; ++sym)
+        word.pushFolded(word.fold(sym * 77));
+    ibp::util::StateWriter writer;
+    word.saveState(writer);
+    EXPECT_EQ(writer.bytes().size(), 1u + 10u * 8u + 1u + 8u);
+    ibp::util::StateReader reader(writer.bytes());
+    EXPECT_EQ(reader.readVarint(), 10u);
+    for (int i = 0; i < 10; ++i)
+        EXPECT_LE(reader.readU64(), 31u);
+    EXPECT_EQ(reader.readVarint(), 7u); // 13 pushes back from slot 0
+    EXPECT_EQ(reader.readU64(), word.word());
+    EXPECT_TRUE(reader.ok());
 }
