@@ -98,7 +98,7 @@ badArgument(const char *program, const std::string &arg)
  *   --checkpoint-every=<n>   (IBP_CHECKPOINT_EVERY)  mid-row cadence
  *   --resume                 (IBP_RESUME=1)      resume from the file
  * An interrupted run restarted with the same path and --resume skips
- * every finished cell and produces a report that `report_tool --diff`
+ * every finished cell and produces a report that `ibp report --diff`
  * finds identical to an uninterrupted run's.
  *
  * Timeline tracing (see obs/timeline.hh):
@@ -205,7 +205,7 @@ timingFooter(const ibp::sim::SuiteTiming &timing)
  * Write the driver's machine-readable run report.  The path comes
  * from the IBP_REPORT environment variable when set ("off" disables
  * emission); the default is ibp_report.json in the CWD.  Diff two of
- * these with `report_tool --diff`.
+ * these with `ibp report --diff`.
  */
 inline void
 writeRunReport(const ibp::obs::RunReport &report)

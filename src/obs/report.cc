@@ -755,8 +755,6 @@ printDiff(std::ostream &out, const ReportDiff &diff)
         out << "FAIL  " << line << '\n';
     for (const auto &line : diff.notes)
         out << "note  " << line << '\n';
-    if (diff.clean())
-        out << "accuracy: no deltas beyond tolerance\n";
 }
 
 } // namespace ibp::obs

@@ -10,7 +10,7 @@
  * ("ibp-report-v1"); readers reject documents with a different major
  * schema so CI diffs never silently compare incompatible shapes.
  *
- * diffReports() is the comparison engine behind `report_tool --diff`:
+ * diffReports() is the comparison engine behind `ibp report --diff`:
  * accuracy deltas gate (tolerance in misprediction percentage points,
  * prediction-count mismatches always gate), while timing and probe
  * deltas are reported informationally — shared CI runners are too
@@ -152,10 +152,13 @@ struct ReportDiff
 ReportDiff diffReports(const RunReport &before, const RunReport &after,
                        double tolerancePct);
 
-/** Human-readable one-report summary (the `report_tool print` view). */
+/** Human-readable one-report summary (the `ibp report` view). */
 void printReport(std::ostream &out, const RunReport &report);
 
-/** Render a diff; failures first, then notes. */
+/**
+ * Render a diff; failures first, then notes.  The caller states the
+ * verdict, since what a clean diff means depends on what was compared.
+ */
 void printDiff(std::ostream &out, const ReportDiff &diff);
 
 } // namespace ibp::obs

@@ -246,7 +246,7 @@ timelineMilestones(const Timeline &timeline);
 
 /**
  * Render @p values as a unicode sparkline (one block glyph per value,
- * scaled to the series min/max).  Used by `timeline_tool --sparkline`.
+ * scaled to the series min/max).  Used by `ibp timeline --sparkline`.
  */
 std::string sparkline(const std::vector<double> &values);
 

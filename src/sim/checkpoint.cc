@@ -1,5 +1,6 @@
 #include "sim/checkpoint.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -122,29 +123,44 @@ encodeSimCheckpoint(const CheckpointMeta &meta,
 }
 
 util::Status
-decodeSimCheckpointMeta(const std::uint8_t *data, std::size_t size,
-                        CheckpointMeta &meta)
+walkSimCheckpoint(const std::vector<std::uint8_t> &bytes,
+                  CheckpointMeta &meta,
+                  std::vector<CheckpointSection> &sections)
 {
-    util::StateReader reader(data, size);
+    util::StateReader reader(bytes);
     std::string kind;
     if (util::Status status = readHeader(reader, kind); !status.ok())
         return status;
     if (kind != kCheckpointKindSim)
-        return util::Status::Error("not a simulation checkpoint (kind \"" +
-                                   kind + "\")");
+        return util::Status::Error(
+            "not a simulation checkpoint (kind \"" + kind + "\")");
+    sections.clear();
     std::string name;
     util::StateReader payload;
     while (reader.nextSection(name, payload)) {
-        if (name != "meta")
-            continue;
-        readMetaSection(payload, meta);
-        if (!payload.ok())
-            return payload.status();
-        return util::Status::Ok();
+        CheckpointSection section{name,
+                                  std::string(payload.size(), '\0')};
+        util::StateReader(payload).readBytes(section.payload.data(),
+                                             section.payload.size());
+        if (name == "meta") {
+            readMetaSection(payload, meta);
+            if (!payload.ok())
+                return payload.status();
+        }
+        sections.push_back(std::move(section));
     }
     if (!reader.ok())
         return reader.status();
-    return util::Status::Error("checkpoint has no meta section");
+    for (const char *required :
+         {"meta", "predictor", "engine", "probes"})
+        if (std::none_of(sections.begin(), sections.end(),
+                         [&](const CheckpointSection &section) {
+                             return section.name == required;
+                         }))
+            return util::Status::Error(
+                std::string("checkpoint has no ") + required +
+                " section");
+    return util::Status::Ok();
 }
 
 util::Status

@@ -79,21 +79,22 @@ encodeSimCheckpoint(const CheckpointMeta &meta,
                     const ReplaySession &session,
                     const workload::Program *walker = nullptr);
 
-/**
- * Decode just the header and meta section of a "sim" blob (cheap;
- * nothing else is touched).  Callers check the meta against their own
- * configuration before committing to a full restore.
- */
-util::Status decodeSimCheckpointMeta(const std::uint8_t *data,
-                                     std::size_t size,
-                                     CheckpointMeta &meta);
-
-inline util::Status
-decodeSimCheckpointMeta(const std::vector<std::uint8_t> &bytes,
-                        CheckpointMeta &meta)
+/** One section of a "sim" blob: its name and raw payload bytes. */
+struct CheckpointSection
 {
-    return decodeSimCheckpointMeta(bytes.data(), bytes.size(), meta);
-}
+    std::string name;
+    std::string payload;
+};
+
+/**
+ * Walk a "sim" blob's structure without the predictor that wrote it:
+ * decode the meta and collect every section in file order.  Fails on a
+ * bad header, a framing error or truncation, and a missing meta,
+ * predictor, engine or probes section.
+ */
+util::Status walkSimCheckpoint(const std::vector<std::uint8_t> &bytes,
+                               CheckpointMeta &meta,
+                               std::vector<CheckpointSection> &sections);
 
 /**
  * Restore a "sim" snapshot into same-configured objects.  On error the

@@ -834,6 +834,44 @@ buildSweepReport(const std::string &tool, const SuiteOptions &options,
     return report;
 }
 
+GoldenMatrix
+goldenMatrix(bool timeline)
+{
+    GoldenMatrix golden;
+    const auto suite = workload::standardSuite();
+    for (const char *name : {"perl", "eon", "gs.tig"}) {
+        const auto *profile = workload::findProfile(suite, name);
+        fatal_if(profile == nullptr, "standard suite lost profile ",
+                 name);
+        golden.profiles.push_back(*profile);
+    }
+    golden.predictors = {"BTB",     "TC-PIB", "Cascade",
+                         "PPM-hyb", "ITTAGE", "Perceptron"};
+    golden.options.traceScale = 0.02;
+    golden.options.threads = 1;
+    if (timeline) {
+        golden.options.engine.timeline.interval = 4000;
+        golden.options.engine.timeline.sampleProbes = false;
+    }
+    return golden;
+}
+
+obs::RunReport
+goldenReport(bool timeline)
+{
+    const GoldenMatrix golden = goldenMatrix(timeline);
+    clearTraceCache();
+    SuiteTiming timing;
+    const SuiteResult result = runSuite(
+        golden.profiles, golden.predictors, golden.options, &timing);
+    // The fixtures record the labels of the tools that first wrote
+    // them; keeping the labels keeps a regenerated fixture
+    // byte-identical.
+    return buildRunReport(timeline ? "timeline_tool --emit-golden"
+                                   : "report_tool --emit-golden",
+                          golden.options, result, timing);
+}
+
 double
 paperAverageFor(const std::string &predictor)
 {

@@ -272,6 +272,33 @@ obs::RunReport buildSweepReport(const std::string &tool,
                                 const SeedSweepResult &sweep,
                                 const SuiteTiming &timing);
 
+/**
+ * The golden matrix every regression fixture pins: perl/eon/gs.tig x
+ * BTB/TC-PIB/Cascade/PPM-hyb/ITTAGE/Perceptron at trace scale 0.02 on
+ * one thread, so its accuracy is bit-reproducible across runs and
+ * machines (tests/golden/).
+ */
+struct GoldenMatrix
+{
+    std::vector<workload::BenchmarkProfile> profiles;
+    std::vector<std::string> predictors;
+    SuiteOptions options;
+};
+
+/**
+ * @param timeline the timeline fixture's configuration: one window
+ *        every 4000 records with probe sampling off, so the windows
+ *        are identical across instrumented and probe-free builds
+ */
+GoldenMatrix goldenMatrix(bool timeline = false);
+
+/**
+ * Run the golden matrix from a cold trace cache and build the report
+ * the committed fixture holds: tests/golden/report_small.json, or
+ * tests/golden/timeline_small.json with @p timeline.
+ */
+obs::RunReport goldenReport(bool timeline = false);
+
 } // namespace ibp::sim
 
 #endif // IBP_SIM_EXPERIMENT_HH_

@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON writer and reader shared by the machine-readable
  * artifact emitters (BENCH_throughput.json, ibp_report.json) and the
- * report_tool diff CLI.
+ * `ibp` CLI.
  *
  * The writer is a streaming emitter with an explicit structure stack:
  * commas, quoting and indentation are handled here so call sites read

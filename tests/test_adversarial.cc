@@ -88,7 +88,7 @@ TEST(RegressionProfiles, EveryCommittedProfileReplaysItsFinding)
     // Each committed profile is named by suggestedProfileName() for
     // the finding it pins; replaying it over the full lineup must
     // reproduce a finding with exactly that name.  This is the same
-    // match `fuzz_tool --known=` performs in CI.
+    // match `ibp fuzz --known=` performs in CI.
     FuzzOptions options;
     options.records = 0; // profiles carry their own (minimized) size
     for (const fs::path &path : committedProfiles()) {

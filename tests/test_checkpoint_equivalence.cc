@@ -323,7 +323,8 @@ TEST(CheckpointEquivalence, HostileInputNeverCrashes)
         auto victim = makePredictor(name);
         ReplaySession victim_session;
         restoreSimCheckpoint(cut, out_meta, *victim, victim_session);
-        decodeSimCheckpointMeta(cut, out_meta);
+        std::vector<CheckpointSection> sections;
+        walkSimCheckpoint(cut, out_meta, sections);
     }
 
     // Randomized bit flips: restore may fail (usually) or succeed (a

@@ -43,36 +43,14 @@ namespace {
 using namespace ibp::sim;
 
 const char *const kFixturePath = IBP_GOLDEN_DIR "/suite_small.txt";
-constexpr double kScale = 0.02;
-
-const std::vector<std::string> kProfiles = {"perl", "eon", "gs.tig"};
-const std::vector<std::string> kPredictors = {
-    "BTB", "TC-PIB", "Cascade", "PPM-hyb", "ITTAGE", "Perceptron",
-};
-
-std::vector<ibp::workload::BenchmarkProfile>
-goldenProfiles()
-{
-    const auto suite = ibp::workload::standardSuite();
-    std::vector<ibp::workload::BenchmarkProfile> picked;
-    for (const auto &name : kProfiles) {
-        const auto *profile = ibp::workload::findProfile(suite, name);
-        if (profile == nullptr)
-            ADD_FAILURE() << "standard suite lost profile " << name;
-        else
-            picked.push_back(*profile);
-    }
-    return picked;
-}
 
 SuiteResult
 runGolden(unsigned threads)
 {
+    GoldenMatrix golden = goldenMatrix();
+    golden.options.threads = threads;
     clearTraceCache();
-    SuiteOptions options;
-    options.traceScale = kScale;
-    options.threads = threads;
-    return runSuite(goldenProfiles(), kPredictors, options);
+    return runSuite(golden.profiles, golden.predictors, golden.options);
 }
 
 struct FixtureCell

@@ -3,10 +3,9 @@
  * obs::RunReport: JSON round-trip fidelity, the diff engine's gating
  * policy, and a golden-report regression fixture.
  *
- * The golden test mirrors tests/test_golden_suite.cc (and
- * `report_tool --emit-golden`): perl/eon/gs.tig at scale 0.02 through
- * BTB/TC-PIB/Cascade/PPM-hyb/ITTAGE/Perceptron on the serial path.  Its report must
- * diff clean (tolerance 0) against the committed
+ * The golden test runs the golden matrix (sim::goldenMatrix(), as
+ * `ibp report --emit-golden` does).  Its report must diff clean
+ * (tolerance 0) against the committed
  * tests/golden/report_small.json in every build configuration —
  * timing and probe deltas are notes, never failures, which is exactly
  * what lets one fixture serve both instrumented and probe-free
@@ -214,37 +213,12 @@ TEST(ReportDiff, TimingAndProbeDeltasAreNotesOnly)
 
 // --- golden report fixture ---------------------------------------------
 
-obs::RunReport
-goldenReport()
-{
-    sim::clearTraceCache();
-    const std::vector<std::string> profile_names = {"perl", "eon",
-                                                    "gs.tig"};
-    const std::vector<std::string> predictors = {
-        "BTB", "TC-PIB", "Cascade", "PPM-hyb", "ITTAGE", "Perceptron"};
-    const auto suite = workload::standardSuite();
-    std::vector<workload::BenchmarkProfile> profiles;
-    for (const auto &name : profile_names) {
-        const auto *profile = workload::findProfile(suite, name);
-        if (profile != nullptr)
-            profiles.push_back(*profile);
-    }
-    sim::SuiteOptions options;
-    options.traceScale = 0.02;
-    options.threads = 1;
-    sim::SuiteTiming timing;
-    const auto result =
-        sim::runSuite(profiles, predictors, options, &timing);
-    return sim::buildRunReport("report_tool --emit-golden", options,
-                               result, timing);
-}
-
 /** Declared before the comparison so a regen run rewrites first. */
 TEST(GoldenReport, Regenerate)
 {
     if (std::getenv("IBP_REGEN_GOLDEN") == nullptr)
         GTEST_SKIP() << "set IBP_REGEN_GOLDEN=1 to regenerate";
-    obs::writeReportFile(kReportFixture, goldenReport());
+    obs::writeReportFile(kReportFixture, sim::goldenReport());
     std::cout << "regenerated " << kReportFixture << "\n";
 }
 
@@ -256,7 +230,7 @@ TEST(GoldenReport, MatchesFixture)
     probe.close();
 
     const obs::RunReport fixture = obs::readReportFile(kReportFixture);
-    const obs::RunReport fresh = goldenReport();
+    const obs::RunReport fresh = sim::goldenReport();
 
     // Accuracy must match the fixture exactly in both directions (a
     // zero-tolerance diff also catches shape drift); timing and probe

@@ -15,7 +15,7 @@
  *    splitting mid-window so the sampler's partial-window state is
  *    actually exercised;
  *  - a committed golden fixture (tests/golden/timeline_small.json,
- *    same configuration as `timeline_tool --emit-golden`) every build
+ *    same configuration as `ibp timeline --emit-golden`) every build
  *    must reproduce exactly.
  *
  * Regenerate the fixture with
@@ -393,39 +393,6 @@ TEST(TimelineResume, MidWindowResumeIsByteIdenticalForEveryPredictor)
 const char *const kFixturePath =
     IBP_GOLDEN_DIR "/timeline_small.json";
 
-/** Identical to `timeline_tool --emit-golden` (keep the two in sync:
- *  CI diffs that tool's output against this test's fixture). */
-obs::RunReport
-runGoldenReport()
-{
-    const std::vector<std::string> profile_names = {"perl", "eon",
-                                                    "gs.tig"};
-    const std::vector<std::string> predictors = {
-        "BTB", "TC-PIB", "Cascade", "PPM-hyb", "ITTAGE", "Perceptron"};
-    const auto suite = workload::standardSuite();
-    std::vector<workload::BenchmarkProfile> profiles;
-    for (const auto &name : profile_names) {
-        const auto *profile = workload::findProfile(suite, name);
-        if (profile == nullptr) {
-            ADD_FAILURE() << "standard suite lost profile " << name;
-            continue;
-        }
-        profiles.push_back(*profile);
-    }
-
-    SuiteOptions options;
-    options.traceScale = 0.02;
-    options.threads = 1;
-    options.engine.timeline.interval = 4000;
-    options.engine.timeline.sampleProbes = false;
-    SuiteTiming timing;
-    clearTraceCache();
-    const SuiteResult result =
-        runSuite(profiles, predictors, options, &timing);
-    return buildRunReport("timeline_tool --emit-golden", options,
-                          result, timing);
-}
-
 // Declared before the comparison test so a regen run updates the
 // fixture first and the comparison then validates the fresh file.
 TEST(TimelineGolden, Regenerate)
@@ -433,7 +400,7 @@ TEST(TimelineGolden, Regenerate)
     if (std::getenv("IBP_REGEN_GOLDEN") == nullptr)
         GTEST_SKIP()
             << "set IBP_REGEN_GOLDEN=1 to rewrite " << kFixturePath;
-    obs::writeReportFile(kFixturePath, runGoldenReport());
+    obs::writeReportFile(kFixturePath, goldenReport(true));
 }
 
 TEST(TimelineGolden, FreshRunMatchesFixture)
@@ -444,7 +411,7 @@ TEST(TimelineGolden, FreshRunMatchesFixture)
                            << " — regenerate with IBP_REGEN_GOLDEN=1";
     }
     const obs::RunReport fixture = obs::readReportFile(kFixturePath);
-    const obs::RunReport fresh = runGoldenReport();
+    const obs::RunReport fresh = goldenReport(true);
 
     ASSERT_EQ(fixture.timelines.size(), fresh.timelines.size())
         << "timeline count drifted — regenerate with "

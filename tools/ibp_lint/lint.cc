@@ -8,6 +8,7 @@
 
 #include "util/json.hh"
 
+#include "budget_manifest.hh"
 #include "index.hh"
 #include "lexer.hh"
 
@@ -1116,75 +1117,52 @@ class Linter
     void
     ruleBudgetManifest()
     {
-        std::map<std::string, std::pair<std::string, std::string>>
-            current; // factory name -> (class, shape)
+        BudgetManifest current; // the tree's classes and shapes
+        current.comment =
+            "Hardware-budget geometry manifest, generated by "
+            "`ibp_lint --update-manifest`.  Each factory name "
+            "pins its implementing class, an FNV-1a shape hash "
+            "of the class's (member -> extent-expression) map "
+            "(recursed through composed classes), and the "
+            "runtime storageBits() total recorded by "
+            "`ibp budget --update`.  The budget-accounting "
+            "lint rule fails on shape drift; CI cross-checks "
+            "storage_bits against the live build.";
         for (const auto &[name, clsName] :
              result_.factoryPredictors) {
             const IndexedClass *cls = index_.findClass(clsName);
             if (!cls)
                 continue;
-            current[name] = {clsName, index_.budgetShapeHash(*cls)};
-            result_.budgetHashes[name] = current[name].second;
+            BudgetManifestEntry &entry = current.predictors[name];
+            entry.className = clsName;
+            entry.shape = index_.budgetShapeHash(*cls);
+            result_.budgetHashes[name] = entry.shape;
         }
 
         const fs::path manifest_path =
             fs::path(options_.root) / options_.budgetManifestPath;
 
+        BudgetManifest recorded;
+        const bool exists =
+            readBudgetManifest(manifest_path.string(), recorded);
+
         if (options_.updateManifest) {
-            if (current.empty() && !fs::exists(manifest_path))
+            if (current.predictors.empty() && !exists)
                 return; // no factory, nothing to pin
-            // Preserve recorded storage_bits: the static pass knows
-            // shapes, tools/budget_tool --update knows totals.
-            std::map<std::string, std::uint64_t> bits;
-            if (fs::exists(manifest_path)) {
-                std::ifstream in(manifest_path);
-                std::ostringstream buffer;
-                buffer << in.rdbuf();
-                const util::JsonValue doc =
-                    util::parseJson(buffer.str());
-                if (const util::JsonValue *old =
-                        doc.find("predictors"))
-                    for (const auto &[name, entry] :
-                         old->asObject())
-                        if (const util::JsonValue *b =
-                                entry.find("storage_bits"))
-                            bits[name] = b->asUint();
-            }
+            // Keep recorded storage_bits: the static pass knows
+            // shapes, `ibp budget --update` knows totals.
+            for (auto &[name, entry] : current.predictors)
+                if (auto it = recorded.predictors.find(name);
+                    it != recorded.predictors.end())
+                    entry.storageBits = it->second.storageBits;
             fs::create_directories(manifest_path.parent_path());
-            std::ofstream out(manifest_path);
-            util::JsonWriter json(out);
-            json.beginObject();
-            json.key("comment").value(
-                "Hardware-budget geometry manifest, generated by "
-                "`ibp_lint --update-manifest`.  Each factory name "
-                "pins its implementing class, an FNV-1a shape hash "
-                "of the class's (member -> extent-expression) map "
-                "(recursed through composed classes), and the "
-                "runtime storageBits() total recorded by "
-                "`budget_tool --update`.  The budget-accounting "
-                "lint rule fails on shape drift; CI cross-checks "
-                "storage_bits against the live build.");
-            json.key("format").value(1);
-            json.key("predictors").beginObject();
-            for (const auto &[name, entry] : current) {
-                json.key(name).beginObject();
-                json.key("class").value(entry.first);
-                json.key("shape").value(entry.second);
-                auto it = bits.find(name);
-                json.key("storage_bits")
-                    .value(it == bits.end() ? std::uint64_t{0}
-                                            : it->second);
-                json.endObject();
-            }
-            json.endObject();
-            json.endObject();
-            out << "\n";
+            writeBudgetManifest(manifest_path.string(), current);
             result_.manifestUpdated = true;
             return;
         }
 
-        if (!fs::exists(manifest_path)) {
-            if (current.empty())
+        if (!exists) {
+            if (current.predictors.empty())
                 return;
             Finding finding;
             finding.rule = "budget-accounting";
@@ -1192,59 +1170,45 @@ class Linter
             finding.message =
                 "budget manifest missing; generate it with "
                 "`ibp_lint --update-manifest` (then record runtime "
-                "totals with `budget_tool --update`)";
+                "totals with `ibp budget --update`)";
             if (ruleEnabled(finding.rule))
                 result_.findings.push_back(std::move(finding));
             return;
         }
-        std::ifstream in(manifest_path);
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        const util::JsonValue doc = util::parseJson(buffer.str());
-        const util::JsonValue *recorded = doc.find("predictors");
-        std::map<std::string, std::pair<std::string, std::string>>
-            old_entries;
-        if (recorded)
-            for (const auto &[name, entry] : recorded->asObject()) {
-                const util::JsonValue *cls = entry.find("class");
-                const util::JsonValue *shape = entry.find("shape");
-                old_entries[name] = {cls ? cls->asString() : "",
-                                     shape ? shape->asString() : ""};
-            }
 
-        for (const auto &[name, entry] : current) {
+        for (const auto &[name, entry] : current.predictors) {
             const IndexedClass *cls =
-                index_.findClass(entry.first);
+                index_.findClass(entry.className);
             const SourceFile *file =
                 cls ? index_.findFile(cls->file) : nullptr;
-            auto it = old_entries.find(name);
-            if (it == old_entries.end()) {
+            auto it = recorded.predictors.find(name);
+            if (it == recorded.predictors.end()) {
                 if (file)
                     report(*file, "budget-accounting", cls->line,
                            "factory name `" + name +
-                               "` (class `" + entry.first +
+                               "` (class `" + entry.className +
                                "`) has no budget manifest entry; "
                                "audit its storageBits() against the "
                                "2K-entry envelope, then run "
                                "`ibp_lint --update-manifest` and "
-                               "`budget_tool --update`");
+                               "`ibp budget --update`");
                 continue;
             }
-            if (it->second.second != entry.second && file)
+            if (it->second.shape != entry.shape && file)
                 report(*file, "budget-accounting", cls->line,
-                       "table geometry shape of `" + entry.first +
+                       "table geometry shape of `" + entry.className +
                            "` (registered as " + name +
                            ") changed (manifest " +
-                           it->second.second + ", tree " +
-                           entry.second +
+                           it->second.shape + ", tree " +
+                           entry.shape +
                            "): re-audit storageBits() against the "
                            "fixed hardware budget, then run "
                            "`ibp_lint --update-manifest` and "
-                           "`budget_tool --update`");
+                           "`ibp budget --update`");
         }
-        for (const auto &[name, entry] : old_entries) {
+        for (const auto &[name, entry] : recorded.predictors) {
             (void)entry;
-            if (!current.count(name)) {
+            if (!current.predictors.count(name)) {
                 Finding finding;
                 finding.rule = "budget-accounting";
                 finding.file = options_.budgetManifestPath;
