@@ -85,7 +85,7 @@ BM_AssocTableLookupHit(benchmark::State &state)
     // Populate every way so hit lookups scan a full set.
     for (std::uint64_t set = 0; set < kTableSets; ++set)
         for (std::uint64_t way = 0; way < kTableWays; ++way)
-            table.insert(set, way + 1, set * kTableWays + way);
+            table.insert({set, way + 1}, set * kTableWays + way);
     std::uint64_t key = 0;
     for (auto _ : state) {
         const std::uint64_t set = table.reduce(key);
@@ -99,22 +99,22 @@ BM_AssocTableLookupHit(benchmark::State &state)
 BENCHMARK(BM_AssocTableLookupHit);
 
 static void
-BM_AssocTableFindWayMiss(benchmark::State &state)
+BM_AssocTableProbeMiss(benchmark::State &state)
 {
     ibp::util::AssocTable<std::uint64_t> table(kTableSets, kTableWays);
     for (std::uint64_t set = 0; set < kTableSets; ++set)
         for (std::uint64_t way = 0; way < kTableWays; ++way)
-            table.insert(set, way + 1, 0);
+            table.insert({set, way + 1}, 0);
     std::uint64_t key = 0;
     for (auto _ : state) {
         // Tag 0 is never inserted: every probe scans all ways and
         // misses — the worst case of the branch-free way scan.
-        benchmark::DoNotOptimize(table.findWay(table.reduce(key), 0));
+        benchmark::DoNotOptimize(table.probe(table.reduce(key), 0));
         key += 0x9E3779B9;
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AssocTableFindWayMiss);
+BENCHMARK(BM_AssocTableProbeMiss);
 
 static void
 BM_AssocTableInsertEvict(benchmark::State &state)
@@ -124,7 +124,7 @@ BM_AssocTableInsertEvict(benchmark::State &state)
     for (auto _ : state) {
         // Distinct tags per insert keep every set at capacity, so the
         // steady state is one LRU eviction per insert.
-        table.insert(table.reduce(key), key + 1, key);
+        table.insert({table.reduce(key), key + 1}, key);
         benchmark::DoNotOptimize(table);
         key += 0x9E3779B9;
     }

@@ -47,14 +47,13 @@ Biu::Biu(const BiuConfig &config)
 BiuEntry &
 Biu::lookupFinite(trace::Addr pc)
 {
-    const std::uint64_t set = table_.reduce(pc >> 2);
-    const std::uint64_t tag =
-        util::foldXor(pc >> 2, 48, config_.tagBits);
-    if (BiuEntry *entry = table_.lookup(set, tag))
+    const util::Slot slot = table_.probe(
+        table_.reduce(pc >> 2), util::foldXor(pc >> 2, 48, config_.tagBits));
+    if (BiuEntry *entry = table_.at(slot))
         return *entry;
-    if (table_.setOccupancy(set) == table_.ways())
+    if (table_.setOccupancy(slot.set) == table_.ways())
         ++evictions_;
-    return table_.insert(set, tag, BiuEntry{});
+    return table_.insert(slot, BiuEntry{});
 }
 
 std::size_t

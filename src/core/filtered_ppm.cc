@@ -1,8 +1,5 @@
 #include "core/filtered_ppm.hh"
 
-#include "util/bitops.hh"
-#include "util/logging.hh"
-
 namespace ibp::core {
 
 FilteredPpm::FilteredPpm(const FilteredPpmConfig &config, std::string name)
@@ -12,45 +9,14 @@ FilteredPpm::FilteredPpm(const FilteredPpmConfig &config, std::string name)
                                     ? "PPM-PIB"
                                     : "PPM-hyb")
                          : std::move(name)),
-      filter_(std::max<std::size_t>(1,
-                                    config.filterEntries /
-                                        config.filterWays),
-              config.filterWays),
-      ppm_(config.ppm)
+      filter_(config.filter), ppm_(config.ppm)
 {
-    fatal_if(config.filterEntries % config.filterWays != 0,
-             "FilteredPpm filter entries must be a multiple of ways");
-}
-
-std::uint64_t
-FilteredPpm::filterSet(trace::Addr pc) const
-{
-    return filter_.reduce(pc >> 2);
-}
-
-std::uint64_t
-FilteredPpm::filterTag(trace::Addr pc) const
-{
-    return util::foldXor(pc >> 2, 48, config_.filterTagBits);
 }
 
 pred::Prediction
 FilteredPpm::predict(trace::Addr pc)
 {
-    // Resolve the filter slot once and cache it for the paired
-    // update(); findWay + touchWay/noteLookupMiss is the exact split
-    // of what lookup() does.
-    lastFilterSet_ = filterSet(pc);
-    lastFilterTag_ = filterTag(pc);
-    lastFilterWay_ = filter_.findWay(lastFilterSet_, lastFilterTag_);
-    haveFilterSlot_ = true;
-    const FilterEntry *fentry = nullptr;
-    if (lastFilterWay_ == util::AssocTable<FilterEntry>::kNoWay) {
-        filter_.noteLookupMiss(lastFilterSet_);
-    } else {
-        filter_.touchWay(lastFilterSet_, lastFilterWay_);
-        fentry = &filter_.wayEntry(lastFilterSet_, lastFilterWay_);
-    }
+    const pred::FilterEntry *fentry = filter_.probe(pc);
     lastFilter = fentry ? pred::Prediction{fentry->entry.valid,
                                            fentry->entry.target}
                         : pred::Prediction{};
@@ -74,44 +40,11 @@ FilteredPpm::predict(trace::Addr pc)
 void
 FilteredPpm::update(trace::Addr pc, trace::Addr target)
 {
-    // Consume the slot predict() resolved (nothing inserts into the
-    // filter between a predict and its update, so the cached way and
-    // a rescan are interchangeable); fall back to a fresh scan after
-    // a checkpoint restore.
-    std::uint64_t set;
-    std::uint64_t tag;
-    std::size_t way;
-    if (haveFilterSlot_) {
-        set = lastFilterSet_;
-        tag = lastFilterTag_;
-        way = lastFilterWay_;
-        haveFilterSlot_ = false;
-    } else {
-        set = filterSet(pc);
-        tag = filterTag(pc);
-        way = filter_.findWay(set, tag);
-    }
-    if (way != util::AssocTable<FilterEntry>::kNoWay) {
-        filter_.touchWay(set, way);
-        FilterEntry &fentry = filter_.wayEntry(set, way);
-        const bool filter_right = fentry.entry.valid &&
-                                  fentry.entry.target == target;
-        if (!filter_right) {
-            // Promotion: leaky promotes at the first filter miss,
-            // strict only once the hysteresis counter is exhausted
-            // (persistent misbehaviour).
-            if (config_.mode == pred::FilterMode::Leaky ||
-                fentry.entry.counter.value() == 0)
-                fentry.provenPolymorphic = true;
-        }
-        fentry.entry.train(target);
-    } else {
-        filter_.noteLookupMiss(set);
-        FilterEntry fresh;
-        fresh.entry.train(target);
-        filter_.insert(set, tag, fresh);
-    }
-
+    // Promotion: leaky promotes at the first filter miss, strict only
+    // once the hysteresis counter is exhausted (persistent
+    // misbehaviour).
+    filter_.train(pc, target,
+                  config_.filter.mode == pred::FilterMode::Strict);
     if (ppmPredicted)
         ppm_.update(pc, target);
 }
@@ -125,10 +58,7 @@ FilteredPpm::observe(const trace::BranchRecord &record)
 std::uint64_t
 FilteredPpm::storageBits() const
 {
-    const std::uint64_t filter_bits =
-        filter_.size() *
-        (pred::TargetEntry::bits() + config_.filterTagBits + 1);
-    return filter_bits + ppm_.storageBits();
+    return filter_.storageBits() + ppm_.storageBits();
 }
 
 void
@@ -141,17 +71,12 @@ FilteredPpm::reset()
     ppmPredicted = false;
     servedByFilter = 0;
     servedTotal = 0;
-    haveFilterSlot_ = false;
 }
 
 void
 FilteredPpm::saveState(util::StateWriter &writer) const
 {
-    filter_.saveState(
-        writer, [](util::StateWriter &w, const FilterEntry &entry) {
-            pred::saveTargetEntry(w, entry.entry);
-            w.writeBool(entry.provenPolymorphic);
-        });
+    filter_.saveState(writer);
     ppm_.saveState(writer);
     pred::savePrediction(writer, lastFilter);
     pred::savePrediction(writer, lastPpm);
@@ -163,11 +88,7 @@ FilteredPpm::saveState(util::StateWriter &writer) const
 void
 FilteredPpm::loadState(util::StateReader &reader)
 {
-    filter_.loadState(
-        reader, [](util::StateReader &r, FilterEntry &entry) {
-            pred::loadTargetEntry(r, entry.entry);
-            entry.provenPolymorphic = r.readBool();
-        });
+    filter_.loadState(reader);
     ppm_.loadState(reader);
     pred::loadPrediction(reader, lastFilter);
     pred::loadPrediction(reader, lastPpm);
@@ -176,9 +97,6 @@ FilteredPpm::loadState(util::StateReader &reader)
     servedTotal = reader.readU64();
     if (reader.ok() && servedByFilter > servedTotal)
         reader.fail("filter serve counters inconsistent");
-    // The cached filter slot is transient: a restored predictor
-    // rescans on its next update.
-    haveFilterSlot_ = false;
 }
 
 void

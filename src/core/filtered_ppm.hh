@@ -17,8 +17,7 @@
 #include <cstdint>
 #include <string>
 
-#include "util/table.hh"
-#include "predictors/cascade.hh"
+#include "predictors/filter_stage.hh"
 #include "predictors/predictor.hh"
 #include "core/ppm_predictor.hh"
 
@@ -27,10 +26,7 @@ namespace ibp::core {
 /** Filtered-PPM configuration. */
 struct FilteredPpmConfig
 {
-    std::size_t filterEntries = 128;
-    std::size_t filterWays = 4;
-    unsigned filterTagBits = 16;
-    pred::FilterMode mode = pred::FilterMode::Leaky;
+    pred::FilterConfig filter;
     PpmPredictorConfig ppm;
 };
 
@@ -75,18 +71,9 @@ class FilteredPpm final : public pred::IndirectPredictor
     const PpmPredictor &inner() const { return ppm_; }
 
   private:
-    struct FilterEntry
-    {
-        pred::TargetEntry entry;
-        bool provenPolymorphic = false;
-    };
-
-    std::uint64_t filterSet(trace::Addr pc) const;
-    std::uint64_t filterTag(trace::Addr pc) const;
-
     FilteredPpmConfig config_;
     std::string name_;
-    util::AssocTable<FilterEntry> filter_;
+    pred::FilterStage filter_;
     PpmPredictor ppm_;
 
     pred::Prediction lastFilter;
@@ -94,15 +81,6 @@ class FilteredPpm final : public pred::IndirectPredictor
     bool ppmPredicted = false; ///< PPM stack consulted this branch
     std::uint64_t servedByFilter = 0;
     std::uint64_t servedTotal = 0;
-
-    // Filter slot resolved by the most recent predict(), consumed by
-    // the next update() to skip re-hashing and the second tag scan.
-    // Transient (never serialized): loadState()/reset() drop it so a
-    // restored predictor rescans, exactly like the historical path.
-    std::uint64_t lastFilterSet_ = 0;
-    std::uint64_t lastFilterTag_ = 0;
-    std::size_t lastFilterWay_ = 0;
-    bool haveFilterSlot_ = false;
 };
 
 } // namespace ibp::core

@@ -26,10 +26,8 @@ ArenaSlot::make(std::size_t base, std::size_t entries, unsigned shift,
 
 MarkovTable::MarkovTable(const MarkovConfig &config)
     : config_(config),
-      direct_(config.tagged || config.votingTargets > 1 ||
-                      config.externalStorage
-                  ? 1
-                  : config.entries),
+      direct_(config.tagged || config.votingTargets > 1 ? 1
+                                                         : config.entries),
       assoc_(config.tagged
                  ? std::max<std::size_t>(1, config.entries / config.ways)
                  : 1,
@@ -44,18 +42,6 @@ MarkovTable::MarkovTable(const MarkovConfig &config)
              "voting MarkovTable entries are tagless only");
     fatal_if(config.votingTargets == 0,
              "MarkovTable needs at least one target per state");
-    fatal_if(config.externalStorage &&
-                 (config.tagged || config.votingTargets > 1),
-             "external MarkovTable storage is tagless/non-voting only");
-}
-
-void
-MarkovTable::bindStorage(pred::TargetEntry *storage)
-{
-    panic_if(!config_.externalStorage,
-             "bindStorage on a self-owned MarkovTable");
-    panic_if(storage == nullptr, "MarkovTable arena slice is null");
-    ext_ = storage;
 }
 
 pred::Prediction
@@ -68,8 +54,6 @@ MarkovTable::lookup(std::uint64_t index, std::uint64_t tag)
 MarkovProbe
 MarkovTable::probe(std::uint64_t index, std::uint64_t tag)
 {
-    panic_if(config_.externalStorage,
-             "bound MarkovTable probed: its arena owner walks it");
     if (config_.votingTargets > 1)
         return probeVoting(index);
     if (!config_.tagged) {
@@ -106,8 +90,6 @@ void
 MarkovTable::train(std::uint64_t index, std::uint64_t tag,
                    trace::Addr target)
 {
-    panic_if(config_.externalStorage,
-             "bound MarkovTable trained: its arena owner walks it");
     if (config_.votingTargets > 1) {
         trainVoting(index, target);
         return;
@@ -116,14 +98,15 @@ MarkovTable::train(std::uint64_t index, std::uint64_t tag,
         direct_.at(direct_.reduce(index)).train(target);
         return;
     }
-    const std::uint64_t set = assoc_.reduce(index);
-    pred::TargetEntry *entry = assoc_.lookup(set, tag);
-    if (entry) {
+    // Always an unresolved slot: an inclusive update trains orders
+    // the walk never probed.
+    util::Slot slot{assoc_.reduce(index), tag};
+    if (pred::TargetEntry *entry = assoc_.revisit(slot)) {
         entry->train(target);
     } else {
         pred::TargetEntry fresh;
         fresh.train(target);
-        assoc_.insert(set, tag, fresh);
+        assoc_.insert(slot, fresh);
     }
 }
 
@@ -186,13 +169,6 @@ MarkovTable::storageBits() const
 std::size_t
 MarkovTable::occupancy() const
 {
-    if (ext_) {
-        std::size_t n = 0;
-        for (std::size_t i = 0; i < config_.entries; ++i)
-            if (ext_[i].valid)
-                ++n;
-        return n;
-    }
     if (config_.votingTargets > 1) {
         std::size_t n = 0;
         for (std::size_t i = 0; i < voting_.size(); ++i)
@@ -212,8 +188,6 @@ MarkovTable::occupancy() const
 void
 MarkovTable::saveState(util::StateWriter &writer) const
 {
-    if (config_.externalStorage)
-        return; // arena owner serializes the slab
     if (config_.votingTargets > 1) {
         voting_.saveState(
             writer, [](util::StateWriter &w, const VoteEntry &entry) {
@@ -237,8 +211,6 @@ MarkovTable::saveState(util::StateWriter &writer) const
 void
 MarkovTable::loadState(util::StateReader &reader)
 {
-    if (config_.externalStorage)
-        return;
     if (config_.votingTargets > 1) {
         const unsigned max_arcs = config_.votingTargets;
         voting_.loadState(
@@ -273,9 +245,6 @@ MarkovTable::loadState(util::StateReader &reader)
 void
 MarkovTable::reset()
 {
-    if (ext_)
-        for (std::size_t i = 0; i < config_.entries; ++i)
-            ext_[i] = pred::TargetEntry{};
     direct_.reset();
     assoc_.reset();
     voting_.reset();

@@ -11,14 +11,11 @@
  * adds partial tags with set-associativity so different branches or
  * paths that hash together no longer alias.
  *
- * Storage: a standalone table owns its entries.  The PPM stack instead
- * binds each of its orders to a slice of one contiguous arena
- * (MarkovConfig::externalStorage + bindStorage()), so the order-m..1
- * probe sequence walks one allocation instead of pointer-chasing m
- * separately allocated vectors.  The stack walks that arena itself
- * through one ArenaSlot per order; a bound table only describes its
- * slice (order, size, storage cost, occupancy) and is never probed or
- * trained directly.
+ * Storage: a MarkovTable owns its entries.  The PPM stack's default
+ * (untagged, non-voting) orders build no MarkovTable at all: their
+ * entries live back-to-back in one arena the stack walks itself,
+ * through one ArenaSlot per order, so the order-m..1 probe sequence
+ * walks one allocation instead of pointer-chasing m vectors.
  */
 
 #ifndef IBP_CORE_MARKOV_TABLE_HH_
@@ -50,14 +47,6 @@ struct MarkovConfig
      * with frequency counts and majority voting.
      */
     unsigned votingTargets = 1;
-
-    /**
-     * Entries live in an arena owned by the caller, who binds the
-     * table to its slice (bindStorage()) and reads and trains the
-     * entries itself.  Untagged, non-voting tables only (the PPM
-     * stack's flattened hot path).
-     */
-    bool externalStorage = false;
 };
 
 /**
@@ -109,13 +98,6 @@ class MarkovTable
     std::size_t entries() const { return config_.entries; }
 
     /**
-     * Point an external-storage table at its arena slice of
-     * config.entries default-constructed TargetEntries.  The table
-     * never outlives or resizes the arena; the owner guarantees both.
-     */
-    void bindStorage(pred::TargetEntry *storage);
-
-    /**
      * Look up a prediction.
      * @param index SFSXS index for this order
      * @param tag   partial tag (ignored when tagless)
@@ -129,9 +111,7 @@ class MarkovTable
 
     /**
      * Train the state addressed by (@p index, @p tag) with the
-     * resolved target, allocating it if empty.  Self-owned tables
-     * only, as are lookup() and probe(): the owner of a bound table's
-     * arena reads and trains it (see ArenaSlot).
+     * resolved target, allocating it if empty.
      */
     void train(std::uint64_t index, std::uint64_t tag, trace::Addr target);
 
@@ -143,10 +123,7 @@ class MarkovTable
 
     void reset();
 
-    /**
-     * Serialize the table's own entries.  External-storage tables
-     * write nothing: the arena owner serializes the whole slab.
-     */
+    /** Serialize the table's entries. */
     void saveState(util::StateWriter &writer) const;
 
     /** Restore a saved table of the same geometry. */
@@ -173,7 +150,6 @@ class MarkovTable
     void trainVoting(std::uint64_t index, trace::Addr target);
 
     MarkovConfig config_;
-    pred::TargetEntry *ext_ = nullptr; ///< bound arena slice, or null
     util::DirectTable<pred::TargetEntry> direct_;
     util::AssocTable<pred::TargetEntry> assoc_;
     util::DirectTable<VoteEntry> voting_;

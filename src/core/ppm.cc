@@ -1,5 +1,7 @@
 #include "core/ppm.hh"
 
+#include <algorithm>
+
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -11,48 +13,44 @@ Ppm::Ppm(const PpmConfig &config)
       escapes_(config.hash.order + 1)
 {
     const unsigned m = config_.hash.order;
-    std::vector<std::size_t> entries = config_.tableEntries;
-    if (entries.empty()) {
+    entries_ = config_.tableEntries;
+    if (entries_.empty()) {
         // Default geometric split: order j gets 2^j entries, which for
         // m = 10 totals 2046 — the paper's "10 Markov predictors with
         // total 2K entries".
         for (unsigned j = m; j >= 1; --j)
-            entries.push_back(std::size_t{1} << j);
+            entries_.push_back(std::size_t{1} << j);
     }
-    fatal_if(entries.size() != m,
+    fatal_if(entries_.size() != m,
              "PPM table geometry must list one size per order (",
-             m, "), got ", entries.size());
+             m, "), got ", entries_.size());
 
     // The default configuration's entries are flattened into one
-    // contiguous arena; each table is bound to its slice.  Tagged and
-    // voting stacks keep self-owned storage.
-    const bool flat = !config_.tagged && config_.votingTargets == 1;
-    tables_.reserve(m);
-    std::size_t total = 0;
-    for (unsigned i = 0; i < m; ++i) {
-        MarkovConfig mc;
-        mc.order = m - i;
-        mc.entries = entries[i];
-        mc.tagged = config_.tagged;
-        mc.ways = config_.ways;
-        mc.tagBits = config_.tagBits;
-        mc.votingTargets = config_.votingTargets;
-        mc.externalStorage = flat;
-        tables_.emplace_back(mc);
-        total += entries[i];
-    }
-    if (flat) {
-        arena_.resize(total);
-        std::size_t offset = 0;
+    // contiguous arena, one slice per order.  Tagged and voting stacks
+    // keep one MarkovTable per order instead.
+    if (config_.tagged || config_.votingTargets > 1) {
+        tables_.reserve(m);
         for (unsigned i = 0; i < m; ++i) {
-            tables_[i].bindStorage(arena_.data() + offset);
-            // Sfsxs::index(word, j) as a shift and a mask.
-            const unsigned j = m - i;
-            orderSlots_.push_back(ArenaSlot::make(
-                offset, entries[i], hash_.indexShift(j), util::maskLow(j)));
-            offset += entries[i];
+            MarkovConfig mc;
+            mc.order = m - i;
+            mc.entries = entries_[i];
+            mc.tagged = config_.tagged;
+            mc.ways = config_.ways;
+            mc.tagBits = config_.tagBits;
+            mc.votingTargets = config_.votingTargets;
+            tables_.emplace_back(mc);
         }
+        return;
     }
+    std::size_t offset = 0;
+    for (unsigned i = 0; i < m; ++i) {
+        // Sfsxs::index(word, j) as a shift and a mask.
+        const unsigned j = m - i;
+        orderSlots_.push_back(ArenaSlot::make(
+            offset, entries_[i], hash_.indexShift(j), util::maskLow(j)));
+        offset += entries_[i];
+    }
+    arena_.resize(offset);
 }
 
 std::uint64_t
@@ -90,7 +88,8 @@ Ppm::trainTables(trace::Addr target)
 std::uint64_t
 Ppm::storageBits() const
 {
-    std::uint64_t bits = 0;
+    // A flat stack's arena holds exactly its per-order entry counts.
+    std::uint64_t bits = arena_.size() * pred::TargetEntry::bits();
     for (const auto &table : tables_)
         bits += table.storageBits();
     if (config_.orderZero)
@@ -101,9 +100,8 @@ Ppm::storageBits() const
 void
 Ppm::saveState(util::StateWriter &writer) const
 {
-    // The arena holds every flattened table's entries back-to-back;
-    // serializing it once covers all bound tables.  Tagged/voting
-    // stacks have an empty arena and self-owned tables instead.
+    // The arena holds every flat order's entries back-to-back.
+    // Tagged/voting stacks have an empty arena and tables instead.
     writer.writeVarint(arena_.size());
     for (const auto &entry : arena_)
         pred::saveTargetEntry(writer, entry);
@@ -172,6 +170,7 @@ Ppm::loadProbes(util::StateReader &reader)
 void
 Ppm::reset()
 {
+    std::fill(arena_.begin(), arena_.end(), pred::TargetEntry{});
     for (auto &table : tables_)
         table.reset();
     accesses_.reset();

@@ -174,8 +174,13 @@ class Ppm
 
     unsigned order() const { return config_.hash.order; }
     const Sfsxs &hash() const { return hash_; }
+    /** Number of orders (tables or arena slices). */
+    std::size_t tableCount() const { return entries_.size(); }
+    /** Entries of order m - @p i's table ([0] = order m). */
+    std::size_t tableEntries(std::size_t i) const { return entries_[i]; }
+    /** Order m - @p i's table; tagged and voting stacks only (a flat
+     *  stack's orders are arena slices, read through arenaProbe()). */
     const MarkovTable &table(std::size_t i) const { return tables_[i]; }
-    std::size_t tableCount() const { return tables_.size(); }
 
     /** Total table storage in bits. */
     std::uint64_t storageBits() const;
@@ -280,15 +285,18 @@ class Ppm
 
     PpmConfig config_;
     Sfsxs hash_;
-    std::vector<MarkovTable> tables_; ///< [0] = order m ... [m-1] = 1
+    /** Resolved entries per order, [0] = order m ... [m-1] = order 1. */
+    std::vector<std::size_t> entries_;
+    /** Tagged/voting stacks: one table per order, same indexing.
+     *  Empty for flat stacks. */
+    std::vector<MarkovTable> tables_;
 
     /**
      * Flattened entry storage for the default (untagged, non-voting)
      * configuration: every order's entries live back-to-back in one
-     * allocation, and each MarkovTable is bound to its slice.  The
-     * order-m..1 probe of predict() then walks one cache-friendly
-     * array instead of pointer-chasing m separately allocated tables.
-     * Empty for tagged/voting stacks, which keep per-table storage.
+     * allocation.  The order-m..1 probe of predict() then walks one
+     * cache-friendly array instead of pointer-chasing m separately
+     * allocated tables.  Empty for tagged/voting stacks.
      */
     std::vector<pred::TargetEntry> arena_;
     /** Per order ([0] = order m), the arena slot of a hash word:

@@ -1,51 +1,17 @@
 #include "predictors/cascade.hh"
 
-#include "util/bitops.hh"
-#include "util/logging.hh"
-
 namespace ibp::pred {
 
 Cascade::Cascade(const CascadeConfig &config, std::string name)
-    : config_(config), name_(std::move(name)),
-      filter_(std::max<std::size_t>(1,
-                                    config.filterEntries /
-                                        config.filterWays),
-              config.filterWays),
+    : config_(config), name_(std::move(name)), filter_(config.filter),
       main_(config.main, "Cascade-main")
 {
-    fatal_if(config.filterEntries % config.filterWays != 0,
-             "Cascade filter entries must be a multiple of ways");
-}
-
-std::uint64_t
-Cascade::filterSet(trace::Addr pc) const
-{
-    return filter_.reduce(pc >> 2);
-}
-
-std::uint64_t
-Cascade::filterTag(trace::Addr pc) const
-{
-    return util::foldXor(pc >> 2, 48, config_.filterTagBits);
 }
 
 Prediction
 Cascade::predict(trace::Addr pc)
 {
-    // Resolve the filter slot once and cache it for the paired
-    // update(); findWay + touchWay/noteLookupMiss is the exact split
-    // of what lookup() does.
-    lastFilterSet_ = filterSet(pc);
-    lastFilterTag_ = filterTag(pc);
-    lastFilterWay_ = filter_.findWay(lastFilterSet_, lastFilterTag_);
-    haveFilterSlot_ = true;
-    const FilterEntry *fentry = nullptr;
-    if (lastFilterWay_ == util::AssocTable<FilterEntry>::kNoWay) {
-        filter_.noteLookupMiss(lastFilterSet_);
-    } else {
-        filter_.touchWay(lastFilterSet_, lastFilterWay_);
-        fentry = &filter_.wayEntry(lastFilterSet_, lastFilterWay_);
-    }
+    const FilterEntry *fentry = filter_.probe(pc);
     lastFilter = fentry ? Prediction{fentry->entry.valid,
                                      fentry->entry.target}
                         : Prediction{};
@@ -75,36 +41,8 @@ Cascade::update(trace::Addr pc, trace::Addr target)
 {
     const bool filter_right = lastFilter.hit(target);
 
-    // Stage 1: the filter always learns.  Consume the slot predict()
-    // resolved (nothing inserts into the filter between a predict and
-    // its update, so the cached way and a rescan are interchangeable);
-    // fall back to a fresh scan after a checkpoint restore.
-    std::uint64_t set;
-    std::uint64_t tag;
-    std::size_t way;
-    if (haveFilterSlot_) {
-        set = lastFilterSet_;
-        tag = lastFilterTag_;
-        way = lastFilterWay_;
-        haveFilterSlot_ = false;
-    } else {
-        set = filterSet(pc);
-        tag = filterTag(pc);
-        way = filter_.findWay(set, tag);
-    }
-    FilterEntry *fentry = nullptr;
-    if (way != util::AssocTable<FilterEntry>::kNoWay) {
-        filter_.touchWay(set, way);
-        fentry = &filter_.wayEntry(set, way);
-        // Unconditional OR-store beats a data-dependent branch here.
-        fentry->provenPolymorphic |= !filter_right;
-        fentry->entry.train(target);
-    } else {
-        filter_.noteLookupMiss(set);
-        FilterEntry fresh;
-        fresh.entry.train(target);
-        filter_.insert(set, tag, fresh);
-    }
+    // Stage 1: the filter always learns, and any miss promotes.
+    const bool proven = filter_.train(pc, target, false);
 
     // Stage 2: any filter failure — wrong target, cold miss, or a
     // set-conflict eviction — leaks the branch into the main
@@ -113,8 +51,8 @@ Cascade::update(trace::Addr pc, trace::Addr target)
     // branch to be proven polymorphic before it may allocate
     // main-table space.
     bool train_main = !filter_right;
-    if (config_.mode == FilterMode::Strict)
-        train_main = train_main && fentry && fentry->provenPolymorphic;
+    if (config_.filter.mode == FilterMode::Strict)
+        train_main = train_main && proven;
     if (train_main) {
         main_.updateWithAllocate(pc, target, true);
     } else if (lastMain.valid) {
@@ -144,10 +82,7 @@ Cascade::snapshotProbes(obs::ProbeRegistry &registry) const
 std::uint64_t
 Cascade::storageBits() const
 {
-    const std::uint64_t filter_bits =
-        filter_.size() *
-        (TargetEntry::bits() + config_.filterTagBits + 1);
-    return filter_bits + main_.storageBits();
+    return filter_.storageBits() + main_.storageBits();
 }
 
 void
@@ -159,17 +94,12 @@ Cascade::reset()
     lastMain = {};
     servedByFilter = 0;
     servedTotal = 0;
-    haveFilterSlot_ = false;
 }
 
 void
 Cascade::saveState(util::StateWriter &writer) const
 {
-    filter_.saveState(writer,
-                      [](util::StateWriter &w, const FilterEntry &e) {
-                          saveTargetEntry(w, e.entry);
-                          w.writeBool(e.provenPolymorphic);
-                      });
+    filter_.saveState(writer);
     main_.saveState(writer);
     savePrediction(writer, lastFilter);
     savePrediction(writer, lastMain);
@@ -180,11 +110,7 @@ Cascade::saveState(util::StateWriter &writer) const
 void
 Cascade::loadState(util::StateReader &reader)
 {
-    filter_.loadState(reader,
-                      [](util::StateReader &r, FilterEntry &e) {
-                          loadTargetEntry(r, e.entry);
-                          e.provenPolymorphic = r.readBool();
-                      });
+    filter_.loadState(reader);
     main_.loadState(reader);
     loadPrediction(reader, lastFilter);
     loadPrediction(reader, lastMain);
@@ -192,9 +118,6 @@ Cascade::loadState(util::StateReader &reader)
     servedTotal = reader.readU64();
     if (reader.ok() && servedByFilter > servedTotal)
         reader.fail("Cascade serve counters inconsistent");
-    // The cached filter slot is transient: a restored predictor
-    // rescans on its next update.
-    haveFilterSlot_ = false;
 }
 
 void

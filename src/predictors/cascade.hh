@@ -24,22 +24,16 @@
 #include <cstdint>
 #include <string>
 
-#include "util/table.hh"
 #include "predictors/dpath.hh"
+#include "predictors/filter_stage.hh"
 #include "predictors/predictor.hh"
 
 namespace ibp::pred {
 
-/** Filter training protocol. */
-enum class FilterMode : std::uint8_t { Leaky, Strict };
-
 /** Cascade configuration. */
 struct CascadeConfig
 {
-    std::size_t filterEntries = 128;
-    std::size_t filterWays = 4;
-    unsigned filterTagBits = 16;
-    FilterMode mode = FilterMode::Leaky;
+    FilterConfig filter;
     DpathConfig main{
         // Tagged 4-way PHTs, path lengths 6 and 4, 960 entries each:
         // with the 128-entry filter this is the paper's 2K budget.
@@ -85,33 +79,15 @@ class Cascade final : public IndirectPredictor
     double filterServeRatio() const;
 
   private:
-    struct FilterEntry
-    {
-        TargetEntry entry;
-        bool provenPolymorphic = false;
-    };
-
-    std::uint64_t filterSet(trace::Addr pc) const;
-    std::uint64_t filterTag(trace::Addr pc) const;
-
     CascadeConfig config_;
     std::string name_;
-    util::AssocTable<FilterEntry> filter_;
+    FilterStage filter_;
     Dpath main_;
 
     Prediction lastFilter;
     Prediction lastMain;
     std::uint64_t servedByFilter = 0;
     std::uint64_t servedTotal = 0;
-
-    // Filter slot resolved by the most recent predict(), consumed by
-    // the next update() to skip re-hashing and the second tag scan.
-    // Transient (never serialized): loadState()/reset() drop it so a
-    // restored predictor rescans, exactly like the historical path.
-    std::uint64_t lastFilterSet_ = 0;
-    std::uint64_t lastFilterTag_ = 0;
-    std::size_t lastFilterWay_ = 0;
-    bool haveFilterSlot_ = false;
 };
 
 } // namespace ibp::pred

@@ -86,18 +86,9 @@ PathComponent::predict(trace::Addr pc)
         const TargetEntry &entry = direct_.at(lastIndex);
         return {entry.valid, entry.target};
     }
-    lastSet = assoc_.reduce(indexHash(pc));
-    lastTag = tagHash(pc);
-    const std::size_t way = assoc_.findWay(lastSet, lastTag);
-    lastWay_ = way;
-    haveSlot_ = true;
-    if (way == util::AssocTable<TargetEntry>::kNoWay) {
-        assoc_.noteLookupMiss(lastSet);
-        return {};
-    }
-    assoc_.touchWay(lastSet, way);
-    const TargetEntry &entry = assoc_.wayEntry(lastSet, way);
-    return {entry.valid, entry.target};
+    slot_ = assoc_.probe(assoc_.reduce(indexHash(pc)), tagHash(pc));
+    const TargetEntry *entry = assoc_.at(slot_);
+    return entry ? Prediction{entry->valid, entry->target} : Prediction{};
 }
 
 void
@@ -107,28 +98,14 @@ PathComponent::update(trace::Addr target, bool allocate)
         direct_.at(lastIndex).train(target);
         return;
     }
-    // Consume the way predict() resolved; fall back to a fresh scan
-    // when no predict preceded this update (checkpoint restore).  The
-    // hit/miss outcome cannot change in between — nothing inserts into
-    // this component's table between a predict and its update — so the
-    // cached way and a rescan are interchangeable, touch for touch.
-    std::size_t way;
-    if (haveSlot_) {
-        way = lastWay_;
-        haveSlot_ = false;
-    } else {
-        way = assoc_.findWay(lastSet, lastTag);
-    }
-    if (way != util::AssocTable<TargetEntry>::kNoWay) {
-        assoc_.touchWay(lastSet, way);
-        assoc_.wayEntry(lastSet, way).train(target);
-    } else {
-        assoc_.noteLookupMiss(lastSet);
-        if (allocate) {
-            TargetEntry fresh;
-            fresh.train(target);
-            assoc_.insert(lastSet, lastTag, fresh);
-        }
+    // Reuses the way predict() resolved, or rescans when no predict
+    // preceded this update (checkpoint restore).
+    if (TargetEntry *entry = assoc_.revisit(slot_)) {
+        entry->train(target);
+    } else if (allocate) {
+        TargetEntry fresh;
+        fresh.train(target);
+        assoc_.insert(slot_, fresh);
     }
 }
 
@@ -153,9 +130,7 @@ PathComponent::reset()
     direct_.reset();
     assoc_.reset();
     lastIndex = 0;
-    lastSet = 0;
-    lastTag = 0;
-    haveSlot_ = false;
+    slot_ = {};
 }
 
 void
@@ -169,8 +144,8 @@ PathComponent::saveState(util::StateWriter &writer) const
     else
         direct_.saveState(writer, saveTargetEntry);
     writer.writeU64(lastIndex);
-    writer.writeU64(lastSet);
-    writer.writeU64(lastTag);
+    writer.writeU64(slot_.set);
+    writer.writeU64(slot_.tag);
 }
 
 void
@@ -182,10 +157,20 @@ PathComponent::loadState(util::StateReader &reader)
     else
         direct_.loadState(reader, loadTargetEntry);
     lastIndex = reader.readU64();
-    lastSet = reader.readU64();
-    lastTag = reader.readU64();
-    // The cached way is transient: a restored component rescans.
-    haveSlot_ = false;
+    const std::uint64_t set = reader.readU64();
+    const std::uint64_t tag = reader.readU64();
+    // update() may run before the next predict() and indexes with
+    // these, so a restored slot must lie inside its table.
+    if (reader.ok() && lastIndex >= direct_.size()) {
+        reader.fail("PathComponent index out of range");
+        return;
+    }
+    if (reader.ok() && set >= assoc_.sets()) {
+        reader.fail("PathComponent set out of range");
+        return;
+    }
+    // The way is transient: a restored component rescans.
+    slot_ = {set, tag};
 }
 
 void

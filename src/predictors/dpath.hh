@@ -85,16 +85,10 @@ class PathComponent
     // historical bit-at-a-time double loop on every index hash.
     std::vector<std::array<std::uint32_t, 256>> acrossLut_;
 
-    // Slot captured at predict time for the follow-up update.
+    // Slot captured at predict time for the follow-up update.  The
+    // tagged slot's set and tag are serialized, its way is not.
     std::uint64_t lastIndex = 0;
-    std::uint64_t lastSet = 0;
-    std::uint64_t lastTag = 0;
-    // Way resolved by the most recent predict(), consumed by the next
-    // update() to skip the second tag scan.  Transient (never
-    // serialized): loadState()/reset() drop it so a restored component
-    // falls back to the full scan, exactly like the historical path.
-    std::size_t lastWay_ = 0;
-    bool haveSlot_ = false;
+    util::Slot slot_;
 };
 
 /** Dual-path hybrid configuration. */

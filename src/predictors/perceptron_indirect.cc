@@ -180,13 +180,14 @@ PerceptronIndirect::train(const Scoring &scoring, trace::Addr target)
 
     // Keep the candidate cache warm: promote the actual target to MRU
     // or install it over the LRU way.
-    const std::uint64_t tag = candidateTag(target);
-    if (TargetEntry *entry = candidates_.lookup(scoring.set, tag)) {
+    // Scoring never probes, so the slot is always rescanned.
+    util::Slot slot{scoring.set, candidateTag(target)};
+    if (TargetEntry *entry = candidates_.revisit(slot)) {
         entry->train(target);
     } else {
         TargetEntry fresh;
         fresh.train(target);
-        candidates_.insert(scoring.set, tag, fresh);
+        candidates_.insert(slot, fresh);
     }
 }
 

@@ -60,9 +60,7 @@ pred::CascadeConfig
 paperCascade(double scale, pred::FilterMode mode)
 {
     pred::CascadeConfig config;
-    config.filterEntries = 128;
-    config.filterWays = 4;
-    config.mode = mode;
+    config.filter = {128, 4, mode};
     // Tagged 4-way PHTs, path lengths 6 and 4.  1024 entries per PHT
     // (2176 total with the filter, ~6% over the 2K budget — erring in
     // Cascade's favour keeps the headline comparison conservative;
@@ -245,17 +243,9 @@ makePredictor(std::string_view name, const FactoryOptions &options)
 bool
 knownPredictor(std::string_view name)
 {
-    static const char *known[] = {
-        "BTB", "BTB2b", "GAp", "TC-PIB", "TC-PB", "TC-IND", "Dpath",
-        "Cascade", "Cascade-strict", "PPM-hyb", "PPM-PIB",
-        "PPM-hyb-biased", "PPM-tagged", "PPM-gshare", "PPM-low",
-        "PPM-inclusive", "PPM-confidence", "PPM-vote2", "PPM-vote4",
-        "Filtered-PPM", "ITTAGE", "Perceptron",
-    };
-    for (const char *k : known)
-        if (name == k)
-            return true;
-    return name.starts_with("Oracle-PIB@");
+    const std::vector<std::string> all = allPredictors();
+    return name.starts_with("Oracle-PIB@") ||
+           std::find(all.begin(), all.end(), name) != all.end();
 }
 
 std::vector<std::string>

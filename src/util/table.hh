@@ -121,6 +121,22 @@ class DirectTable
 };
 
 /**
+ * An AssocTable address, (set, tag), and the way a probe resolved for
+ * it.  A predictor keeps its slot from predict to update so the update
+ * skips the second tag scan.
+ */
+struct Slot
+{
+    /** The way of a tag miss. */
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+
+    std::uint64_t set = 0;
+    std::uint64_t tag = 0;
+    std::size_t way = kNoWay;
+    bool resolved = false; ///< way is current for (set, tag)
+};
+
+/**
  * Tagged, set-associative table with true-LRU replacement.
  *
  * Any positive set count is allowed (callers reduce their hash via
@@ -139,20 +155,23 @@ class DirectTable
  * matching the historical array-of-structs layout, so checkpoints are
  * unaffected.
  *
- * Slot protocol for fused predict/update paths: findWay() locates a
- * way without side effects; touchWay()/wayEntry() promote and access
- * it; noteLookupMiss() records the conflict-miss probe a failed
- * lookup() would have counted.  lookup() == findWay + (touchWay |
- * noteLookupMiss), so callers caching the way between a predict and
- * its update reproduce the split protocol bit for bit.
+ * Slot protocol, the one way callers reach a line:
+ *  - probe(set, tag) finds the way, promotes it to MRU or records the
+ *    conflict-miss probe, and returns a resolved Slot;
+ *  - revisit(slot) is the update side: it reuses a resolved slot's way
+ *    or rescans an unresolved one, promotes it or records the miss
+ *    again, unresolves the slot and returns the entry (null on a miss);
+ *  - insert(slot, entry) fills the LRU victim of the slot's set.
+ * lookup() is probe() + at().  Reusing a resolved way is exact as long
+ * as nothing is inserted into the table between the probe and the
+ * revisit, which every predict/update pair guarantees; a slot that is
+ * unresolved (fresh, after a checkpoint restore, or already revisited)
+ * is rescanned, so both paths touch, note and evict identically.
  */
 template <typename Entry>
 class AssocTable
 {
   public:
-    /** findWay() result for a tag miss. */
-    static constexpr std::size_t kNoWay = ~std::size_t{0};
-
     AssocTable(std::size_t sets, std::size_t ways)
         : numSets(sets), numWays(ways),
           setMask_(isPowerOf2(sets) ? sets - 1 : 0),
@@ -174,64 +193,47 @@ class AssocTable
         return setMask_ ? (hash & setMask_) : (hash % numSets);
     }
 
+    /** Find @p tag in @p set, promote a hit to MRU or record the miss,
+     *  and return the resolved slot. */
+    Slot
+    probe(std::uint64_t set, std::uint64_t tag)
+    {
+        Slot slot{set, tag, findWay(set, tag), true};
+        visit(slot);
+        return slot;
+    }
+
     /**
-     * Locate @p tag in @p set without touching LRU state or probes.
-     * The scan is branch-free over the set's contiguous tag slice
-     * (no early exit), selecting the lowest matching way — the same
-     * way a first-match scan would report.
-     * @return the way index, or kNoWay on a tag miss.
+     * The update-side visit of @p slot: reuse its way when resolved,
+     * rescan (set, tag) otherwise, then promote or record the miss as
+     * probe() does.  Leaves the slot unresolved.
+     * @return the slot's entry, or nullptr on a tag miss.
      */
-    std::size_t
-    findWay(std::uint64_t set, std::uint64_t tag) const
+    Entry *
+    revisit(Slot &slot)
     {
-        ibp_table_check(set >= numSets, "AssocTable set out of range");
-        const std::size_t base = set * numWays;
-        std::size_t found = kNoWay;
-        for (std::size_t w = numWays; w-- > 0;) {
-            const bool match =
-                valid_[base + w] != 0 && tags_[base + w] == tag;
-            found = match ? w : found;
-        }
-        return found;
+        if (!slot.resolved)
+            slot.way = findWay(slot.set, slot.tag);
+        slot.resolved = false;
+        visit(slot);
+        return at(slot);
     }
 
-    /** Promote @p way of @p set to MRU (the LRU side of a hit). */
-    void
-    touchWay(std::uint64_t set, std::size_t way)
+    /** Payload of the line @p slot points at, or nullptr on a miss. */
+    Entry *
+    at(const Slot &slot)
     {
-        ibp_table_check(set >= numSets || way >= numWays,
-                        "AssocTable slot out of range");
-        lastUse_[set * numWays + way] = ++clock_;
+        return slot.way == Slot::kNoWay
+                   ? nullptr
+                   : &entries_[line(slot.set, slot.way)];
     }
 
-    /** Payload of a specific (set, way) slot. */
-    Entry &
-    wayEntry(std::uint64_t set, std::size_t way)
-    {
-        ibp_table_check(set >= numSets || way >= numWays,
-                        "AssocTable slot out of range");
-        return entries_[set * numWays + way];
-    }
-
+    /** Payload of a specific (set, way) line, for callers that scan a
+     *  whole set (valid or not) without touching it. */
     const Entry &
     wayEntry(std::uint64_t set, std::size_t way) const
     {
-        ibp_table_check(set >= numSets || way >= numWays,
-                        "AssocTable slot out of range");
-        return entries_[set * numWays + way];
-    }
-
-    /**
-     * Record the probe side of a failed lookup in @p set: a miss in a
-     * set that already holds valid lines is a (capacity or tag)
-     * conflict — the branch's state may have been evicted by a
-     * competitor.  Occupancy is only scanned in instrumented builds.
-     */
-    void
-    noteLookupMiss(std::uint64_t set)
-    {
-        IBP_PROBE(if (setOccupancy(set) > 0) conflictMisses_.bump();)
-        (void)set;
+        return entries_[line(set, way)];
     }
 
     /**
@@ -241,13 +243,7 @@ class AssocTable
     Entry *
     lookup(std::uint64_t set, std::uint64_t tag)
     {
-        const std::size_t way = findWay(set, tag);
-        if (way == kNoWay) {
-            noteLookupMiss(set);
-            return nullptr;
-        }
-        touchWay(set, way);
-        return &entries_[set * numWays + way];
+        return at(probe(set, tag));
     }
 
     /** Find without updating LRU state (for probes/tests). */
@@ -255,20 +251,20 @@ class AssocTable
     peek(std::uint64_t set, std::uint64_t tag) const
     {
         const std::size_t way = findWay(set, tag);
-        return way == kNoWay ? nullptr
-                             : &entries_[set * numWays + way];
+        return way == Slot::kNoWay ? nullptr : &entries_[line(set, way)];
     }
 
     /**
-     * Insert @p entry with @p tag into @p set, evicting the LRU way if
-     * the set is full.  The inserted line becomes MRU.
+     * Insert @p entry under the slot's tag into the slot's set,
+     * evicting the LRU way if the set is full.  The inserted line
+     * becomes MRU.
      * @return reference to the stored entry.
      */
     Entry &
-    insert(std::uint64_t set, std::uint64_t tag, Entry entry)
+    insert(const Slot &slot, Entry entry)
     {
-        ibp_table_check(set >= numSets, "AssocTable set out of range");
-        const std::size_t base = set * numWays;
+        ibp_table_check(slot.set >= numSets, "AssocTable set out of range");
+        const std::size_t base = slot.set * numWays;
         std::size_t victim = 0;
         std::uint64_t oldest = 0;
         bool first = true;
@@ -285,7 +281,7 @@ class AssocTable
         }
         IBP_PROBE(if (valid_[base + victim]) evictions_.bump();)
         valid_[base + victim] = 1;
-        tags_[base + victim] = tag;
+        tags_[base + victim] = slot.tag;
         entries_[base + victim] = std::move(entry);
         lastUse_[base + victim] = ++clock_;
         return entries_[base + victim];
@@ -393,6 +389,52 @@ class AssocTable
     }
 
   private:
+    /** Flat index of a (set, way) line. */
+    std::size_t
+    line(std::uint64_t set, std::size_t way) const
+    {
+        ibp_table_check(set >= numSets || way >= numWays,
+                        "AssocTable slot out of range");
+        return set * numWays + way;
+    }
+
+    /**
+     * Locate @p tag in @p set without touching LRU state or probes.
+     * The scan is branch-free over the set's contiguous tag slice
+     * (no early exit), selecting the lowest matching way — the same
+     * way a first-match scan would report.
+     * @return the way index, or Slot::kNoWay on a tag miss.
+     */
+    std::size_t
+    findWay(std::uint64_t set, std::uint64_t tag) const
+    {
+        ibp_table_check(set >= numSets, "AssocTable set out of range");
+        const std::size_t base = set * numWays;
+        std::size_t found = Slot::kNoWay;
+        for (std::size_t w = numWays; w-- > 0;) {
+            const bool match =
+                valid_[base + w] != 0 && tags_[base + w] == tag;
+            found = match ? w : found;
+        }
+        return found;
+    }
+
+    /**
+     * The LRU and probe side of a visit: a hit becomes MRU; a miss in a
+     * set that already holds valid lines is a (capacity or tag)
+     * conflict — the branch's state may have been evicted by a
+     * competitor.  Occupancy is only scanned in instrumented builds.
+     */
+    void
+    visit(const Slot &slot)
+    {
+        if (slot.way != Slot::kNoWay) {
+            lastUse_[line(slot.set, slot.way)] = ++clock_;
+            return;
+        }
+        IBP_PROBE(if (setOccupancy(slot.set) > 0) conflictMisses_.bump();)
+    }
+
     std::size_t numSets;
     std::size_t numWays;
     std::uint64_t setMask_;

@@ -28,9 +28,7 @@ CascadeConfig
 smallCascade(FilterMode mode = FilterMode::Leaky)
 {
     CascadeConfig config;
-    config.filterEntries = 16;
-    config.filterWays = 4;
-    config.mode = mode;
+    config.filter = {16, 4, mode};
     config.main.shortPath = {64, 24, 6, StreamSel::MtIndirect, true, 4,
                              12};
     config.main.longPath = {64, 24, 4, StreamSel::MtIndirect, true, 4,
@@ -119,7 +117,7 @@ TEST(Cascade, PaperBudgetNearTwoK)
     // 128 filter entries + 2 x 960 main entries = 2048 by default;
     // the factory build uses 2 x 1024 (~6% over budget, erring in
     // Cascade's favour).  Both must stay within 10% of 2K.
-    const std::size_t total = config.filterEntries +
+    const std::size_t total = config.filter.entries +
                               config.main.shortPath.entries +
                               config.main.longPath.entries;
     EXPECT_GE(total, 1843u);

@@ -4,9 +4,12 @@
  */
 
 #include <cstdint>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/serde.hh"
 #include "predictors/dpath.hh"
 
 namespace {
@@ -177,6 +180,69 @@ TEST(Dpath, ResetForgets)
     dpath.update(0x1000, 0x2000);
     dpath.reset();
     EXPECT_FALSE(dpath.predict(0x1000).valid);
+}
+
+/**
+ * A component's saved state with the U64 field @p from_end fields
+ * before the end (1 = last tag, 2 = last set, 3 = last index)
+ * replaced by @p value.
+ */
+std::vector<std::uint8_t>
+craftedState(const PathComponentConfig &config, unsigned from_end,
+             std::uint64_t value)
+{
+    PathComponent c(config);
+    c.predict(0x1000);
+    c.update(0x2000, true);
+    ibp::util::StateWriter writer;
+    c.saveState(writer);
+    std::vector<std::uint8_t> bytes = writer.bytes();
+    const std::size_t at = bytes.size() - 8 * from_end;
+    for (unsigned i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    return bytes;
+}
+
+TEST(PathComponent, LoadStateRejectsAnOutOfRangeSlot)
+{
+    // update() may run on a restored component before any predict(),
+    // indexing its table with the restored slot.
+    struct Case
+    {
+        PathComponentConfig config;
+        unsigned from_end;
+        std::uint64_t value;
+        const char *message;
+    };
+    const Case cases[] = {
+        {taglessConfig(), 3, 64, "PathComponent index out of range"},
+        {taggedConfig(), 3, 1, "PathComponent index out of range"},
+        {taggedConfig(), 2, 16, "PathComponent set out of range"},
+        {taglessConfig(), 2, 1, "PathComponent set out of range"},
+    };
+    for (const Case &c : cases) {
+        const std::vector<std::uint8_t> bytes =
+            craftedState(c.config, c.from_end, c.value);
+        PathComponent restored(c.config);
+        ibp::util::StateReader reader(bytes);
+        restored.loadState(reader);
+        EXPECT_FALSE(reader.ok()) << c.message;
+        EXPECT_EQ(reader.status().message().rfind(c.message, 0), 0u)
+            << reader.status().message();
+    }
+
+    // The largest in-range values still load.
+    for (const auto &[config, from_end, value] :
+         {std::tuple{taglessConfig(), 3u, std::uint64_t{63}},
+          std::tuple{taggedConfig(), 2u, std::uint64_t{15}}}) {
+        const std::vector<std::uint8_t> bytes =
+            craftedState(config, from_end, value);
+        PathComponent restored(config);
+        ibp::util::StateReader reader(bytes);
+        restored.loadState(reader);
+        EXPECT_TRUE(reader.ok()) << reader.status().message();
+        restored.update(0x3000, true);
+    }
 }
 
 } // namespace

@@ -31,9 +31,7 @@ FilteredPpmConfig
 smallConfig(ibp::pred::FilterMode mode = ibp::pred::FilterMode::Leaky)
 {
     FilteredPpmConfig config;
-    config.filterEntries = 16;
-    config.filterWays = 4;
-    config.mode = mode;
+    config.filter = {16, 4, mode};
     config.ppm = paperPpmConfig(PpmVariant::Hybrid);
     config.ppm.ppm.hash.order = 4;
     return config;

@@ -546,7 +546,7 @@ TEST(LintRealTree, FactoryRegistrationsAllCovered)
     // Checkpointed classes carry manifest hashes — including the
     // matcher workload behaviour the adversarial fuzzer added.
     for (const char *cls : {"PpmPredictor", "Cascade", "Btb",
-                            "FilteredPpm", "MarkovTable",
+                            "FilteredPpm", "FilterStage", "MarkovTable",
                             "MatcherBehavior", "Ittage",
                             "PerceptronIndirect"})
         EXPECT_TRUE(result.serdeHashes.count(cls))

@@ -42,13 +42,20 @@ TEST(Ppm, DefaultGeometryIsGeometric)
     ASSERT_EQ(ppm.tableCount(), 10u);
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < ppm.tableCount(); ++i) {
-        EXPECT_EQ(ppm.table(i).order(), 10u - i);
-        EXPECT_EQ(ppm.table(i).entries(),
-                  std::size_t{1} << (10 - i));
-        total += ppm.table(i).entries();
+        EXPECT_EQ(ppm.tableEntries(i), std::size_t{1} << (10 - i));
+        total += ppm.tableEntries(i);
     }
     // The paper's 2K budget: 2^10 + ... + 2^1 = 2046.
     EXPECT_EQ(total, 2046u);
+
+    // A tagged stack keeps one MarkovTable per order, highest first.
+    PpmConfig tagged_config = smallConfig(10);
+    tagged_config.tagged = true;
+    Ppm tagged(tagged_config);
+    for (std::size_t i = 0; i < tagged.tableCount(); ++i) {
+        EXPECT_EQ(tagged.table(i).order(), 10u - i);
+        EXPECT_EQ(tagged.table(i).entries(), tagged.tableEntries(i));
+    }
 }
 
 TEST(Ppm, ExplicitGeometryHonoured)
@@ -56,8 +63,8 @@ TEST(Ppm, ExplicitGeometryHonoured)
     PpmConfig config = smallConfig(3);
     config.tableEntries = {16, 8, 4};
     Ppm ppm(config);
-    EXPECT_EQ(ppm.table(0).entries(), 16u);
-    EXPECT_EQ(ppm.table(2).entries(), 4u);
+    EXPECT_EQ(ppm.tableEntries(0), 16u);
+    EXPECT_EQ(ppm.tableEntries(2), 4u);
 }
 
 TEST(Ppm, ColdPredictsNothingAtOrderZero)

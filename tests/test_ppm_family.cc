@@ -1,10 +1,13 @@
 /**
  * @file
- * Pins for the whole PPM family: every factory PPM variant replayed
- * over real suite traces must end in the same state bytes, with the
- * same miss and no-prediction counts, as the reference values below.
- * The golden suite only covers the small suite's lineup; these pins
- * also exercise the tagged, voting, low-select and pc-mixed stacks.
+ * State pins for the whole PPM family and for the tagged-table
+ * predictors: every factory PPM variant, Cascade, Cascade-strict,
+ * Dpath and Perceptron, replayed over real suite traces, must end in
+ * the same state bytes, with the same miss and no-prediction counts,
+ * as the reference values below.  The golden suite only covers the
+ * small suite's miss rates; these pins also exercise the tagged,
+ * voting, low-select and pc-mixed stacks, and see any drift in an
+ * AssocTable's LRU stamps, clock or lines that a miss rate cannot.
  */
 
 #include <cstdint>
@@ -80,8 +83,10 @@ TEST(PpmFamily, StateAndMissesArePinned)
         const char *profile;
         Replayed want;
     };
-    // Captured from the stack before its observe() and order walk were
-    // specialised; a change here is a behaviour change, not a refactor.
+    // The PPM rows were captured before the stack's observe() and order
+    // walk were specialised, the Cascade, Dpath and Perceptron rows
+    // before their tables moved onto AssocTable's slot protocol; a
+    // change here is a behaviour change, not a refactor.
     const Pin pins[] = {
         {"PPM-hyb", "perl", {0x9669b71079d0e6eULL, 5155, 2}},
         {"PPM-hyb", "gcc", {0x14639cd8e5749dcdULL, 5665, 2}},
@@ -99,6 +104,14 @@ TEST(PpmFamily, StateAndMissesArePinned)
         {"PPM-gshare", "gcc", {0xb385386a798e3f45ULL, 7246, 2}},
         {"Filtered-PPM", "perl", {0xbc058612616a672ULL, 4837, 2}},
         {"Filtered-PPM", "gcc", {0x294a579388d65d02ULL, 5416, 2}},
+        {"Cascade", "perl", {0x1d845b6a2d82375eULL, 4986, 29}},
+        {"Cascade", "gcc", {0xdd56c9afdf39826aULL, 4363, 36}},
+        {"Cascade-strict", "perl", {0xad551f20914d8e3eULL, 4990, 29}},
+        {"Cascade-strict", "gcc", {0x9e41688014dcc0f6ULL, 4387, 40}},
+        {"Dpath", "perl", {0x18f7363c25be625bULL, 2799, 57}},
+        {"Dpath", "gcc", {0xa6722579c14072bfULL, 4455, 63}},
+        {"Perceptron", "perl", {0x996d160615919e98ULL, 2947, 28}},
+        {"Perceptron", "gcc", {0xc1f126cd1beec7eULL, 3273, 34}},
     };
 
     const std::vector<trace::BranchRecord> perl = prefix("perl", 200'000);

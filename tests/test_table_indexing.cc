@@ -75,7 +75,7 @@ TEST(AssocTableIndexing, CascadeGeometry240SetsStaysModulo)
     // The reduced indices are usable end to end.
     for (std::uint64_t tag = 0; tag < 500; ++tag) {
         const auto set = table.reduce(tag * 0x9e3779b97f4a7c15ULL);
-        table.insert(set, tag, static_cast<int>(tag));
+        table.insert({set, tag}, static_cast<int>(tag));
         ASSERT_NE(table.lookup(set, tag), nullptr);
         EXPECT_EQ(*table.lookup(set, tag), static_cast<int>(tag));
     }
@@ -84,14 +84,14 @@ TEST(AssocTableIndexing, CascadeGeometry240SetsStaysModulo)
 TEST(AssocTableIndexing, PeekIsConstAndLeavesLruUntouched)
 {
     AssocTable<int> table(2, 2);
-    table.insert(0, 10, 100); // LRU after the next insert
-    table.insert(0, 20, 200);
+    table.insert({0, 10}, 100); // LRU after the next insert
+    table.insert({0, 20}, 200);
 
     const AssocTable<int> &view = table;
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(*view.peek(0, 10), 100); // no MRU promotion
 
-    table.insert(0, 30, 300); // must still evict tag 10, the LRU
+    table.insert({0, 30}, 300); // must still evict tag 10, the LRU
     EXPECT_EQ(view.peek(0, 10), nullptr);
     EXPECT_EQ(*view.peek(0, 20), 200);
     EXPECT_EQ(*view.peek(0, 30), 300);
