@@ -67,6 +67,14 @@ class Cascade final : public IndirectPredictor
     }
 
     void observe(const trace::BranchRecord &record) override;
+
+    /** Only the main Dpath keeps history; the filter has none. */
+    bool
+    observesOnlyPredicted() const override
+    {
+        return main_.observesOnlyPredicted();
+    }
+
     void snapshotProbes(obs::ProbeRegistry &registry) const override;
     std::uint64_t storageBits() const override;
     void reset() override;

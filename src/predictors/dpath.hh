@@ -123,6 +123,14 @@ class Dpath final : public IndirectPredictor
     }
 
     void observe(const trace::BranchRecord &record) override;
+
+    bool
+    observesOnlyPredicted() const override
+    {
+        return short_.history().stream() == StreamSel::MtIndirect &&
+               long_.history().stream() == StreamSel::MtIndirect;
+    }
+
     std::uint64_t storageBits() const override;
     void reset() override;
 

@@ -63,6 +63,12 @@ class Gap final : public IndirectPredictor
         history_.observe(record);
     }
 
+    bool
+    observesOnlyPredicted() const override
+    {
+        return history_.stream() == StreamSel::MtIndirect;
+    }
+
     std::uint64_t storageBits() const override;
     void reset() override;
     void saveState(util::StateWriter &writer) const override;

@@ -169,6 +169,12 @@ class Ittage final : public IndirectPredictor
             advanceHistories(record);
     }
 
+    bool
+    observesOnlyPredicted() const override
+    {
+        return config_.stream == StreamSel::MtIndirect;
+    }
+
     std::uint64_t storageBits() const override;
     void reset() override;
     void saveState(util::StateWriter &writer) const override;

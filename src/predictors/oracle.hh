@@ -41,6 +41,13 @@ class Oracle : public IndirectPredictor
     Prediction predict(trace::Addr pc) override;
     void update(trace::Addr pc, trace::Addr target) override;
     void observe(const trace::BranchRecord &record) override;
+
+    bool
+    observesOnlyPredicted() const override
+    {
+        return config_.stream == StreamSel::MtIndirect;
+    }
+
     /** Unbounded; reports the current table footprint. */
     std::uint64_t storageBits() const override;
     void reset() override;

@@ -6,9 +6,11 @@
  * Engine contract (see sim/engine.cc): for every multi-target indirect
  * branch the engine calls predict(pc), then update(pc, actual); for
  * *every* retired branch (including that one) it then calls
- * observe(record).  update() therefore always sees the same history
- * state as the predict() it follows, and history registers advance in
- * observe() — which matches the paper's protocol where "the update
+ * observe(record), skipping only the records a predictor declares it
+ * ignores (wantsObserve(), observesOnlyPredicted()).  update()
+ * therefore always sees the same history state as the predict() it
+ * follows, and history registers advance in observe() — which
+ * matches the paper's protocol where "the update
  * step starts by shifting the actual target into the PHR" *after* the
  * tables were trained with the pre-shift indices.
  */
@@ -108,6 +110,17 @@ class IndirectPredictor
      * call; overriding it never changes any prediction.
      */
     virtual bool wantsObserve() const { return true; }
+
+    /**
+     * True iff observe() can change state only on predicted records
+     * (multi-target jmp/jsr): the predictor's histories all record the
+     * StreamSel::MtIndirect stream.  The engine then observes only the
+     * records it predicts and skips the ones in between; like
+     * wantsObserve(), overriding it never changes any prediction
+     * (checked for every factory predictor by
+     * tests/test_predictor_properties.cc).
+     */
+    virtual bool observesOnlyPredicted() const { return false; }
 
     /**
      * Copy this predictor's probe values into @p registry under

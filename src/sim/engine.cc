@@ -1,7 +1,9 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <utility>
 
+#include "util/logging.hh"
 #include "predictors/btb.hh"
 #include "predictors/cascade.hh"
 #include "predictors/dpath.hh"
@@ -17,68 +19,74 @@ namespace ibp::sim {
 namespace {
 
 /**
- * The per-span replay loop, templated on the concrete predictor type.
- * For the hot predictor classes (see withConcreteType()) the compiler
+ * The replay loop, templated on the concrete predictor type.  For the
+ * hot predictor classes (see withHotType()) the compiler
  * devirtualizes and inlines predictAndUpdate()/observe() straight into
  * the loop; instantiated with the base class it degrades to exactly
  * one virtual call per predicted branch and one per observed record.
- * Either way the per-record protocol — predict -> update -> observe,
- * in trace order — is the same code, so metrics are bit-identical
- * across instantiations *and* across span sizes: no state outlives a
- * record beyond the RAS, metrics and predictor, so chunking a trace
- * differently cannot change a simulated number.
+ *
+ * The plan already holds the predicted offsets, so the loop jumps from
+ * one predicted record to the next: it runs predict -> update ->
+ * observe there, and in between it observes the records a predictor's
+ * history can see — none when observe() is a no-op, none when
+ * observe() only reacts to predicted records, every one otherwise —
+ * with no kind branch and no RAS work.  The per-record protocol is the
+ * same in trace order, so metrics are bit-identical across
+ * instantiations, observe scopes and chunkings.
  */
 template <typename Predictor>
 inline void
-replaySpan(const trace::BranchRecord *span, std::size_t n,
-           const EngineConfig &config, Predictor &predictor,
-           pred::ReturnAddressStack &ras, RunMetrics &metrics)
+replayPlanned(const ReplayPlan &plan, std::size_t from, bool per_site,
+              Predictor &predictor, RunMetrics &metrics)
 {
-    // Loop-invariant configuration and the predictor's observe()
-    // interest are hoisted out of the hot loop.
-    const bool use_ras = config.useRas;
-    const bool per_site = config.perSiteStats;
+    const trace::BranchRecord *span = plan.records();
+    const std::size_t n = plan.size();
     const bool observes = predictor.wantsObserve();
+    const bool gaps = observes && !predictor.observesOnlyPredicted();
 
-    metrics.branches += n;
-    for (std::size_t b = 0; b < n; ++b) {
-        const trace::BranchRecord &record = span[b];
-
-        if (record.isPredictedIndirect()) {
-            ++metrics.mtIndirect;
-            const pred::Prediction prediction =
-                predictor.predictAndUpdate(record.pc, record.target);
-            const bool miss = !prediction.hit(record.target);
-            metrics.indirectMisses.sample(miss);
-            metrics.noPrediction.sample(!prediction.valid);
-            if (per_site) {
-                SiteMetrics &site = metrics.perSite[record.pc];
-                site.misses.sample(miss);
-                site.lastTarget = record.target;
-            }
-        } else if (record.kind == trace::BranchKind::Return &&
-                   use_ras) {
-            trace::Addr predicted = 0;
-            const bool got = ras.pop(predicted);
-            metrics.returnMisses.sample(!got ||
-                                        predicted != record.target);
+    const std::uint32_t *first = plan.predictedFrom(from);
+    const std::uint32_t *last = plan.predictedEnd();
+    // Counted in registers: the predictor calls cannot clobber them.
+    std::uint64_t misses = 0;
+    std::uint64_t abstentions = 0;
+    std::size_t next = from; // the next record a gap observer sees
+    for (const std::uint32_t *it = first;; ++it) {
+        // A predicted record is observed as the head of the gap that
+        // follows it, so observe() has one call site per scope.
+        const std::size_t stop = it == last ? n : *it;
+        if (gaps)
+            for (; next < stop; ++next)
+                predictor.observe(span[next]);
+        if (it == last)
+            break;
+        const trace::BranchRecord &record = span[*it];
+        const pred::Prediction prediction =
+            predictor.predictAndUpdate(record.pc, record.target);
+        const bool miss = !prediction.hit(record.target);
+        misses += miss;
+        abstentions += !prediction.valid;
+        if (per_site) {
+            SiteMetrics &site = metrics.perSite[record.pc];
+            site.misses.sample(miss);
+            site.lastTarget = record.target;
         }
-
-        if (record.call && use_ras)
-            ras.push(record.pc + 4);
-
-        if (observes)
+        if (observes && !gaps)
             predictor.observe(record);
     }
+
+    const auto predicted = static_cast<std::uint64_t>(last - first);
+    metrics.branches += n - from;
+    metrics.mtIndirect += predicted;
+    metrics.indirectMisses.add(misses, predicted);
+    metrics.noPrediction.add(abstentions, predicted);
 }
 
 /**
- * Type-switch devirtualization, the one list of hot concrete
- * predictors: calls @p fn with @p predictor cast to the first listed
- * type it is (one dynamic_cast each, per span — not per record), or
- * with the base class for anything else (composite predictors, test
- * doubles), which takes the generic virtual loop with identical
- * semantics.
+ * Type-switch devirtualization: calls @p fn with @p predictor cast to
+ * the first listed type it is (one dynamic_cast each, per feed — not
+ * per record), or with the base class for anything else (composite
+ * predictors, test doubles), which takes the generic virtual loop with
+ * identical semantics.
  */
 template <typename... Hot, typename Fn>
 void
@@ -89,6 +97,18 @@ withConcreteType(pred::IndirectPredictor &predictor, Fn &&fn)
                       ...);
     if (!hot)
         fn(predictor);
+}
+
+/** withConcreteType() over the one list of hot concrete predictors. */
+template <typename Fn>
+void
+withHotType(pred::IndirectPredictor &predictor, Fn &&fn)
+{
+    withConcreteType<pred::Btb, pred::Btb2b, pred::Gap,
+                     pred::TargetCache, core::PpmPredictor, pred::Dpath,
+                     pred::Cascade, core::FilteredPpm, pred::Ittage,
+                     pred::PerceptronIndirect>(predictor,
+                                               std::forward<Fn>(fn));
 }
 
 } // namespace
@@ -112,9 +132,84 @@ Engine::run(trace::BranchSource &source,
     return session.metrics();
 }
 
+ReplayPlan::ReplayPlan(const EngineConfig &config)
+    : useRas_(config.useRas), ras_(config.rasDepth)
+{
+}
+
+void
+ReplayPlan::build(const trace::BranchRecord *span, std::size_t n)
+{
+    panic_if(n > trace::kReplayChunk, "replay plan chunk too long: ", n);
+    if (predicted_.empty()) {
+        predicted_.resize(trace::kReplayChunk);
+        returns_.resize(trace::kReplayChunk);
+        returnMisses_.resize(trace::kReplayChunk + 1);
+    }
+    span_ = span;
+    size_ = n;
+
+    // Pass 1, branch-free: each offset is stored unconditionally and
+    // kept only by a record of its class, so the record kinds never
+    // steer a host branch.  The RAS's calls and returns are gathered
+    // into returns_, which pass 2 compacts in place to the returns.
+    std::uint32_t *predicted = predicted_.data();
+    std::uint32_t *events = returns_.data();
+    std::uint32_t np = 0;
+    std::uint32_t ne = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const trace::BranchRecord &record = span[i];
+        const trace::BranchKind kind = record.kind;
+        const bool jmp_or_jsr = (kind == trace::BranchKind::IndirectJmp) |
+                                (kind == trace::BranchKind::IndirectCall);
+        predicted[np] = i;
+        np += record.multiTarget & jmp_or_jsr;
+        events[ne] = i;
+        ne += useRas_ & ((kind == trace::BranchKind::Return) |
+                         record.call);
+    }
+    predictedCount_ = np;
+
+    // Pass 2: the RAS over its calls and returns only, in trace order.
+    std::uint32_t returns = 0;
+    std::uint32_t misses = 0;
+    for (std::uint32_t e = 0; e < ne; ++e) {
+        const std::uint32_t i = events[e];
+        const trace::BranchRecord &record = span[i];
+        if (record.kind == trace::BranchKind::Return) {
+            trace::Addr target = 0;
+            const bool got = ras_.pop(target);
+            misses += !got || target != record.target;
+            events[returns] = i; // returns <= e: nothing unread is lost
+            returnMisses_[++returns] = misses;
+        }
+        if (record.call)
+            ras_.push(record.pc + 4);
+    }
+    returnCount_ = returns;
+}
+
+const std::uint32_t *
+ReplayPlan::predictedFrom(std::size_t from) const
+{
+    return std::lower_bound(predicted_.data(), predictedEnd(), from);
+}
+
+util::Ratio
+ReplayPlan::returnsFrom(std::size_t from) const
+{
+    const std::uint32_t *first = returns_.data();
+    const auto k = static_cast<std::size_t>(
+        std::lower_bound(first, first + returnCount_, from) - first);
+    util::Ratio outcomes;
+    outcomes.add(returnMisses_[returnCount_] - returnMisses_[k],
+                 returnCount_ - k);
+    return outcomes;
+}
+
 ReplaySession::ReplaySession(const EngineConfig &config)
     : config_(config), ras_(config.rasDepth),
-      sampler_(config.timeline)
+      sampler_(config.timeline), plan_(config)
 {
 }
 
@@ -152,33 +247,58 @@ void
 ReplaySession::feed(const trace::BranchRecord *span, std::size_t n,
                     pred::IndirectPredictor &predictor)
 {
-    withConcreteType<pred::Btb, pred::Btb2b, pred::Gap,
-                     pred::TargetCache, core::PpmPredictor, pred::Dpath,
-                     pred::Cascade, core::FilteredPpm, pred::Ittage,
-                     pred::PerceptronIndirect>(
-        predictor, [&](auto &concrete) {
-            if (!sampler_.enabled()) {
-                replaySpan(span, n, config_, concrete, ras_, metrics_);
-                return;
-            }
-            // Split the span at window boundaries.  Boundaries are
-            // absolute record counts, so the windows are identical
-            // however the trace is sliced into spans, bounded runs or
-            // checkpoint/resume cycles.
-            std::size_t off = 0;
-            while (off < n) {
-                const std::uint64_t boundary =
-                    sampler_.nextBoundary(metrics_.branches);
-                const auto len =
-                    static_cast<std::size_t>(std::min<std::uint64_t>(
-                        n - off, boundary - metrics_.branches));
-                replaySpan(span + off, len, config_, concrete, ras_,
-                           metrics_);
-                off += len;
-                if (metrics_.branches == boundary)
-                    sampleTimeline(predictor);
-            }
-        });
+    // Plan in chunks cut at timeline boundaries.  Boundaries are
+    // absolute record counts, so the windows are identical however the
+    // trace is sliced into spans, bounded runs or checkpoint/resume
+    // cycles.  The plan's RAS carries on from the session's, chunk to
+    // chunk.
+    plan_.ras() = ras_;
+    withHotType(predictor, [&](auto &concrete) {
+        for (std::size_t off = 0; off < n;) {
+            const std::uint64_t boundary = nextBoundary();
+            const auto len = static_cast<std::size_t>(
+                std::min<std::uint64_t>({n - off, trace::kReplayChunk,
+                                         boundary - metrics_.branches}));
+            plan_.build(span + off, len);
+            replayPlanned(plan_, 0, config_.perSiteStats, concrete,
+                          metrics_);
+            closePlan(plan_, 0, boundary, predictor);
+            off += len;
+        }
+    });
+}
+
+void
+ReplaySession::feed(const ReplayPlan &plan, std::size_t from,
+                    pred::IndirectPredictor &predictor)
+{
+    panic_if(from > plan.size(), "replay plan offset past its chunk");
+    const std::uint64_t boundary = nextBoundary();
+    withHotType(predictor, [&](auto &concrete) {
+        replayPlanned(plan, from, config_.perSiteStats, concrete,
+                      metrics_);
+    });
+    closePlan(plan, from, boundary, predictor);
+}
+
+std::uint64_t
+ReplaySession::nextBoundary() const
+{
+    return sampler_.enabled() ? sampler_.nextBoundary(metrics_.branches)
+                              : kNoLimit;
+}
+
+void
+ReplaySession::closePlan(const ReplayPlan &plan, std::size_t from,
+                         std::uint64_t boundary,
+                         const pred::IndirectPredictor &predictor)
+{
+    ras_ = plan.ras();
+    metrics_.returnMisses.merge(plan.returnsFrom(from));
+    panic_if(metrics_.branches > boundary,
+             "replay plan crosses a timeline boundary");
+    if (metrics_.branches == boundary)
+        sampleTimeline(predictor);
 }
 
 void

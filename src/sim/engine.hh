@@ -16,7 +16,9 @@
 #define IBP_SIM_ENGINE_HH_
 
 #include <cstdint>
+#include <vector>
 
+#include "util/stats.hh"
 #include "trace/trace_buffer.hh"
 #include "obs/registry.hh"
 #include "obs/timeline.hh"
@@ -41,6 +43,64 @@ struct EngineConfig
      * invariance), only the sampled curves appear.
      */
     obs::TimelineConfig timeline;
+};
+
+/**
+ * One replay chunk classified once, independently of any predictor:
+ * the offsets of its predicted (MT jmp/jsr) records, the outcomes of
+ * one RAS over its returns, and that RAS's state after the chunk.
+ * Neither the classification nor the RAS depends on the predictor, so
+ * a suite row builds one plan per chunk and every column replays from
+ * it (ReplaySession::feed(plan, from, ...)) instead of re-walking the
+ * records, re-branching on their kinds and re-running the same RAS.
+ *
+ * The plan's RAS carries over from one build() to the next, so
+ * consecutive builds over consecutive chunks track the trace's RAS
+ * from wherever it was seeded.  Returns are kept as offsets with
+ * prefix miss counts, so a column that joins mid-chunk (resumed from a
+ * snapshot) takes exactly the suffix's return outcomes.
+ */
+class ReplayPlan
+{
+  public:
+    explicit ReplayPlan(const EngineConfig &config = {});
+
+    /**
+     * Classify @p span[0, n) (n <= trace::kReplayChunk) and advance the
+     * plan's RAS over it.  The span must outlive every feed() of this
+     * plan.  The offset buffers are allocated by the first build and
+     * reused by every later one.
+     */
+    void build(const trace::BranchRecord *span, std::size_t n);
+
+    const trace::BranchRecord *records() const { return span_; }
+    std::size_t size() const { return size_; }
+
+    /** Offsets of the predicted records at or after @p from. */
+    const std::uint32_t *predictedFrom(std::size_t from) const;
+    const std::uint32_t *
+    predictedEnd() const
+    {
+        return predicted_.data() + predictedCount_;
+    }
+
+    /** RAS-predicted returns at or after @p from, and their misses. */
+    util::Ratio returnsFrom(std::size_t from) const;
+
+    /** The RAS after the chunk; assign to seed the next build(). */
+    const pred::ReturnAddressStack &ras() const { return ras_; }
+    pred::ReturnAddressStack &ras() { return ras_; }
+
+  private:
+    bool useRas_;
+    pred::ReturnAddressStack ras_;
+    const trace::BranchRecord *span_ = nullptr;
+    std::size_t size_ = 0;
+    std::size_t predictedCount_ = 0;
+    std::size_t returnCount_ = 0;
+    std::vector<std::uint32_t> predicted_;    ///< predicted offsets
+    std::vector<std::uint32_t> returns_;      ///< return offsets
+    std::vector<std::uint32_t> returnMisses_; ///< misses in returns_[0, k)
 };
 
 /** The trace-driven engine: one whole-trace ReplaySession run. */
@@ -73,13 +133,16 @@ class Engine
  * object, so a replay can be fed in pieces, stop between records,
  * serialize itself, and continue (possibly in a different process).
  *
- * Every replay goes through feed(), which dispatches once per span to
- * a loop templated on the concrete predictor type.  Feeding a trace in
- * spans of any size is bit-identical to feeding it whole: the loop
- * carries no cross-span state beyond the RAS, metrics and predictor.
- * Checkpoints land between full records — nothing stops mid-record —
- * which is what makes the predictors' transient predict->update slots
- * serializable.
+ * Every replay goes through one loop over a ReplayPlan, dispatched once
+ * per feed() to an instantiation templated on the concrete predictor
+ * type.  A suite row hands every column its shared per-chunk plan;
+ * feeding a bare span plans it here, in chunks of at most
+ * trace::kReplayChunk records cut at timeline boundaries.  Feeding a
+ * trace in spans of any size is bit-identical to feeding it whole: the
+ * loop carries no cross-span state beyond the RAS, metrics and
+ * predictor.  Checkpoints land between full records — nothing stops
+ * mid-record — which is what makes the predictors' transient
+ * predict->update slots serializable.
  */
 class ReplaySession
 {
@@ -107,6 +170,17 @@ class ReplaySession
      * window at every sampling boundary inside the span.
      */
     void feed(const trace::BranchRecord *span, std::size_t n,
+              pred::IndirectPredictor &predictor);
+
+    /**
+     * Replay @p plan's records [from, plan.size()) through
+     * @p predictor, then take the plan's RAS state and the suffix's
+     * return outcomes.  The plan must have been built from the RAS
+     * state this session holds at record @p from (a suite row's plan
+     * is, for every column of the row), and must not cross a timeline
+     * boundary except at its end.
+     */
+    void feed(const ReplayPlan &plan, std::size_t from,
               pred::IndirectPredictor &predictor);
 
     /**
@@ -150,6 +224,18 @@ class ReplaySession
     void loadProbes(util::StateReader &reader);
 
   private:
+    /** The next timeline boundary (kNoLimit when sampling is off). */
+    std::uint64_t nextBoundary() const;
+
+    /**
+     * Finish a plan replayed from @p from: take its RAS and the
+     * suffix's return outcomes, and close the window at @p boundary
+     * if the replay reached it.
+     */
+    void closePlan(const ReplayPlan &plan, std::size_t from,
+                   std::uint64_t boundary,
+                   const pred::IndirectPredictor &predictor);
+
     /** Close the timeline window ending at the current position. */
     void sampleTimeline(const pred::IndirectPredictor &predictor);
 
@@ -157,6 +243,7 @@ class ReplaySession
     pred::ReturnAddressStack ras_;
     RunMetrics metrics_;
     obs::TimelineSampler sampler_;
+    ReplayPlan plan_; ///< plans bare spans; buffers allocated on use
 };
 
 } // namespace ibp::sim

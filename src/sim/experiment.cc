@@ -424,6 +424,7 @@ struct RowOutput
     std::vector<obs::ProbeRegistry> probes;
     std::vector<obs::Timeline> timelines;
     double genSeconds = 0;
+    double planSeconds = 0;
     double cpuSeconds = 0; ///< whole task: generation + replay
 };
 
@@ -457,10 +458,14 @@ makeColumn(std::size_t index, const std::string &name,
  * One row task: run the row's walker and feed its trace, one replay
  * chunk at a time, to every column not already finished in @p resume,
  * each from its own cursor.  No whole-row trace is ever held: the
- * walker refills one kReplayChunk-record scratch span per chunk.  With
- * a progress file, every in-flight column is snapshotted at each
- * multiple of checkpointEvery records and the finished cells are
- * recorded when the row completes.
+ * walker refills one kReplayChunk-record scratch span per chunk.  Each
+ * chunk is planned once for the whole row (its predicted offsets and
+ * the row's one RAS; see ReplayPlan), and every column replays from
+ * that plan.  Chunks end at every multiple of checkpointEvery (with a
+ * progress file) and of the timeline interval, so snapshots and
+ * window closes land between plans.  With a progress file, every
+ * in-flight column is snapshotted at each multiple of checkpointEvery
+ * records and the finished cells are recorded when the row completes.
  */
 RowOutput
 runRow(const workload::BenchmarkProfile &profile,
@@ -514,24 +519,31 @@ runRow(const workload::BenchmarkProfile &profile,
         resumed_at = std::min(resumed_at, column.cursor);
     const std::uint64_t every =
         progress != nullptr ? options.checkpointEvery : 0;
+    const std::uint64_t window = options.engine.timeline.interval;
     std::vector<trace::BranchRecord> chunk(trace::kReplayChunk);
+    ReplayPlan plan(options.engine);
     std::uint64_t pos = 0;
     while (pos < total) {
         std::uint64_t end = std::min<std::uint64_t>(
             total, pos + trace::kReplayChunk);
-        if (every > 0)
-            end = std::min(end, (pos / every + 1) * every);
+        for (const std::uint64_t cadence : {every, window})
+            if (cadence > 0)
+                end = std::min(end, (pos / cadence + 1) * cadence);
+        const auto n = static_cast<std::size_t>(end - pos);
         const double gen_start = obs::wallSeconds();
-        program.fill(chunk.data(), static_cast<std::size_t>(end - pos));
-        output.genSeconds += secondsSince(gen_start);
+        program.fill(chunk.data(), n);
+        const double plan_start = obs::wallSeconds();
+        output.genSeconds += plan_start - gen_start;
+        plan.build(chunk.data(), n);
+        output.planSeconds += secondsSince(plan_start);
         for (auto &column : columns) {
             if (column.cursor >= end)
                 continue; // resumed ahead of this chunk
             const std::uint64_t from = std::max(pos, column.cursor);
             const double feed_wall = obs::wallSeconds();
             const double feed_cpu = obs::threadCpuSeconds();
-            column.session.feed(chunk.data() + (from - pos),
-                                static_cast<std::size_t>(end - from),
+            column.session.feed(plan,
+                                static_cast<std::size_t>(from - pos),
                                 *column.predictor);
             column.cpuSeconds += obs::threadCpuSeconds() - feed_cpu;
             column.wallSeconds += secondsSince(feed_wall);
@@ -555,6 +567,7 @@ runRow(const workload::BenchmarkProfile &profile,
         }
     }
     row_span.addNumber("tracegen_s", output.genSeconds);
+    row_span.addNumber("plan_s", output.planSeconds);
 
     std::vector<CompletedCell> finished;
     for (auto &column : columns) {
@@ -603,6 +616,7 @@ runSuite(const std::vector<workload::BenchmarkProfile> &profiles,
 
     double serial_equivalent = 0;
     double trace_gen = 0;
+    double plan = 0;
     unsigned threads = 1;
     {
         util::ThreadPool pool(
@@ -631,6 +645,7 @@ runSuite(const std::vector<workload::BenchmarkProfile> &profiles,
             result.cells.push_back(std::move(output.cells));
             serial_equivalent += output.cpuSeconds;
             trace_gen += output.genSeconds;
+            plan += output.planSeconds;
         }
     }
     if (timing) {
@@ -638,6 +653,7 @@ runSuite(const std::vector<workload::BenchmarkProfile> &profiles,
         timing->serialEquivalentSeconds =
             threads <= 1 ? timing->wallSeconds : serial_equivalent;
         timing->traceGenSeconds = trace_gen;
+        timing->planSeconds = plan;
         timing->threadsUsed = threads;
     }
     return result;
@@ -669,6 +685,7 @@ runSeedSweep(const std::vector<workload::BenchmarkProfile> &profiles,
             timing->serialEquivalentSeconds +=
                 seed_timing.serialEquivalentSeconds;
             timing->traceGenSeconds += seed_timing.traceGenSeconds;
+            timing->planSeconds += seed_timing.planSeconds;
             timing->threadsUsed = seed_timing.threadsUsed;
         }
     }

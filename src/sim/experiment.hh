@@ -10,10 +10,11 @@
  * One scheduler runs every suite: one task per benchmark row on a
  * ThreadPool (a pool of one when SuiteOptions::threads == 1).  Each
  * task streams its row's trace from a private workload walker: the
- * walker fills one trace::kReplayChunk-record scratch span at a time
- * and each chunk is fed to one factory-fresh predictor and
- * ReplaySession per column before the next is generated, so no row
- * ever holds its whole trace.  Rows share no simulation state and are
+ * walker fills one trace::kReplayChunk-record scratch span at a time,
+ * the chunk is planned once (predicted offsets and the row's RAS; see
+ * ReplayPlan), and the plan is fed to one factory-fresh predictor and
+ * ReplaySession per column before the next chunk is generated, so no
+ * row ever holds its whole trace.  Rows share no simulation state and are
  * collected in row order, so the matrix, probes and timelines do not
  * depend on scheduling or thread count (enforced by
  * tests/test_parallel_suite.cc and the golden fixtures in
@@ -95,6 +96,13 @@ struct SuiteTiming
      * to) serialEquivalentSeconds.
      */
     double traceGenSeconds = 0;
+    /**
+     * Wall time the row tasks spent planning replay chunks: the sum of
+     * every per-chunk ReplayPlan::build() (classification and the
+     * row's RAS), paid once per row rather than per column.  Part of
+     * serialEquivalentSeconds, like traceGenSeconds.
+     */
+    double planSeconds = 0;
     unsigned threadsUsed = 1;
 
     double

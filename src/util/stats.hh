@@ -24,14 +24,22 @@ class Ratio
 {
   public:
     /** Record one opportunity; @p event says whether the event fired.
-     *  Branchless: sampled per predicted branch in the replay loop,
-     *  where a data-dependent miss/hit branch would be unpredictable
-     *  by construction. */
+     *  Branchless: sampled per predicted branch (per-site stats), where
+     *  a data-dependent miss/hit branch would be unpredictable by
+     *  construction. */
     void
     sample(bool event)
     {
         ++total_;
         events_ += event;
+    }
+
+    /** Record @p total opportunities, @p events of which fired. */
+    void
+    add(std::uint64_t events, std::uint64_t total)
+    {
+        events_ += events;
+        total_ += total;
     }
 
     /** Merge another ratio into this one. */

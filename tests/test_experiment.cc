@@ -193,6 +193,18 @@ TEST(Experiment, TraceGenerationTimeIsPartOfTheSuiteTime)
     EXPECT_LT(timing.traceGenSeconds, timing.serialEquivalentSeconds);
 }
 
+TEST(Experiment, PlanTimeIsPartOfTheSuiteTime)
+{
+    // Each chunk is planned once per row, between generation and the
+    // columns' replays; its summed time shows and stays a share.
+    SuiteOptions options;
+    options.threads = 1;
+    SuiteTiming timing;
+    runSuite(tinySuite(), {"BTB", "PPM-hyb"}, options, &timing);
+    EXPECT_GT(timing.planSeconds, 0.0);
+    EXPECT_LT(timing.planSeconds, timing.serialEquivalentSeconds);
+}
+
 TEST(Experiment, PaperAveragesKnown)
 {
     EXPECT_DOUBLE_EQ(paperAverageFor("PPM-hyb"), 9.47);

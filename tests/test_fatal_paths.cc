@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "util/histogram.hh"
 #include "util/random.hh"
@@ -22,6 +23,7 @@
 #include "core/ppm.hh"
 #include "core/sfsxs.hh"
 #include "sim/branch_study.hh"
+#include "sim/engine.hh"
 #include "sim/factory.hh"
 #include "sim/frontend.hh"
 
@@ -53,6 +55,26 @@ TEST(FatalPaths, TextReaderRejectsMalformedLine)
     ibp::trace::BranchRecord record;
     EXPECT_EXIT(reader.next(record), ExitedWithCode(1),
                 "malformed trace line");
+}
+
+TEST(FatalPaths, ReplayPlanMisusePanics)
+{
+    // A plan holds at most one replay chunk, a column joins it at an
+    // offset inside it, and a session's plan may not run past a
+    // timeline boundary (suite rows cut their chunks there).
+    std::vector<ibp::trace::BranchRecord> records(
+        ibp::trace::kReplayChunk + 1);
+    ibp::sim::ReplayPlan plan;
+    EXPECT_DEATH(plan.build(records.data(), records.size()),
+                 "chunk too long");
+    plan.build(records.data(), 100);
+    auto predictor = ibp::sim::makePredictor("BTB");
+    EXPECT_DEATH(ibp::sim::ReplaySession().feed(plan, 101, *predictor),
+                 "offset past its chunk");
+    ibp::sim::EngineConfig config;
+    config.timeline.interval = 64;
+    EXPECT_DEATH(ibp::sim::ReplaySession(config).feed(plan, 0, *predictor),
+                 "crosses a timeline boundary");
 }
 
 TEST(FatalPaths, SatCounterWidthZeroPanics)

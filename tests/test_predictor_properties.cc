@@ -326,6 +326,75 @@ TEST_P(PredictorPropertyTest, ResetRestoresColdStateBytes)
         << "reset() left state a fresh instance does not have";
 }
 
+TEST_P(PredictorPropertyTest, PredictedOnlyObserveIgnoresOtherRecords)
+{
+    // A predictor that declares observesOnlyPredicted() is observed
+    // only at the records the engine predicts.  That is sound only if
+    // observe() of every other kind leaves its state untouched, from a
+    // warm state (non-zero histories) as well as a cold one.
+    auto predictor = makePredictor(GetParam());
+    if (!predictor->observesOnlyPredicted())
+        return; // observes every record (or none): nothing skipped
+    ibp::trace::TraceBuffer trace = sharedTrace();
+    Engine().run(trace, *predictor);
+
+    using ibp::trace::BranchKind;
+    auto record = [](BranchKind kind, bool taken, bool mt, bool call) {
+        ibp::trace::BranchRecord r;
+        r.pc = 0x120004a0;
+        r.target = 0x120ff7c8;
+        r.kind = kind;
+        r.taken = taken;
+        r.multiTarget = mt;
+        r.call = call;
+        return r;
+    };
+    const std::vector<ibp::trace::BranchRecord> others = {
+        record(BranchKind::CondDirect, true, false, false),
+        record(BranchKind::CondDirect, false, false, false),
+        record(BranchKind::UncondDirect, true, false, false),
+        record(BranchKind::UncondDirect, true, false, true),
+        record(BranchKind::Return, true, false, false),
+        record(BranchKind::Return, true, true, false),
+        record(BranchKind::IndirectJmp, true, false, false),
+        record(BranchKind::IndirectCall, true, false, true),
+    };
+    const auto before = stateBytes(*predictor);
+    for (const auto &other : others) {
+        ASSERT_FALSE(other.isPredictedIndirect());
+        predictor->observe(other);
+        EXPECT_EQ(stateBytes(*predictor), before)
+            << ibp::trace::branchKindName(other.kind)
+            << " changed the state of a predicted-only observer";
+    }
+    for (const auto &traced : trace.records())
+        if (!traced.isPredictedIndirect())
+            predictor->observe(traced);
+    EXPECT_EQ(stateBytes(*predictor), before)
+        << "a traced non-predicted record changed the state";
+}
+
+TEST(PredictorObserveScope, DenseReplayNamesArePinned)
+{
+    // The factory names whose replay observes only predicted records,
+    // and those that observe nothing.  A config change that moves a
+    // predictor off either list must show up here.
+    std::vector<std::string> predicted_only;
+    std::vector<std::string> unobserved;
+    for (const auto &name : allPredictors()) {
+        const auto predictor = makePredictor(name);
+        if (!predictor->wantsObserve())
+            unobserved.push_back(name);
+        else if (predictor->observesOnlyPredicted())
+            predicted_only.push_back(name);
+    }
+    EXPECT_EQ(unobserved, (std::vector<std::string>{"BTB", "BTB2b"}));
+    EXPECT_EQ(predicted_only,
+              (std::vector<std::string>{"GAp", "TC-PIB", "Dpath",
+                                        "Cascade", "Cascade-strict",
+                                        "ITTAGE", "Oracle-PIB@4"}));
+}
+
 // ---------------------------------------------------------------------
 // ITTAGE-specific properties.  The lineup-wide invariants above cover
 // the new predictors through allPredictors(); these pin the three

@@ -1,0 +1,529 @@
+/**
+ * @file
+ * Equivalence of the planned replay with the per-record protocol.
+ *
+ * ReplaySession replays through one loop over a ReplayPlan: the
+ * chunk's predicted offsets, one RAS's return outcomes and its state
+ * after the chunk.  Between predictions the loop observes every record,
+ * only the predicted ones, or none, depending on the predictor's
+ * observe scope.  The reference here is the per-record loop the engine
+ * ran before plans existed: classify each record, predict+update the
+ * MT jmp/jsr ones, pop/push the RAS, observe each record, and close a
+ * timeline window at every interval multiple.  Every test compares
+ * RunMetrics, timelines and the saveState()/saveProbes() bytes of
+ * sessions and predictors against that reference, over chunkings that
+ * straddle trace::kReplayChunk, with the RAS off, with per-site stats
+ * on, with timeline windows that do not divide the chunk, and for
+ * columns that join a suite row's plan mid-chunk.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "util/serde.hh"
+#include "obs/registry.hh"
+#include "obs/timeline.hh"
+#include "workload/profiles.hh"
+#include "predictors/ras.hh"
+#include "sim/checkpoint.hh"
+#include "sim/engine.hh"
+#include "sim/experiment.hh"
+#include "sim/factory.hh"
+
+namespace {
+
+using namespace ibp;
+using namespace ibp::sim;
+using Bytes = std::vector<std::uint8_t>;
+
+/**
+ * A little over three replay chunks, so every chunking meets a tail.
+ * The smoke workload's returns all hit in the RAS, so every seventh
+ * one is redirected to give the return accounting misses to count.
+ */
+const trace::TraceBuffer &
+sharedTrace()
+{
+    static const trace::TraceBuffer trace = [] {
+        auto profile = workload::smokeProfile();
+        profile.records = 13000;
+        std::vector<trace::BranchRecord> records =
+            generateTrace(profile).records();
+        std::size_t returns = 0;
+        for (auto &record : records)
+            if (record.kind == trace::BranchKind::Return &&
+                ++returns % 7 == 0)
+                record.target ^= 0x40;
+        return trace::TraceBuffer(std::move(records));
+    }();
+    return trace;
+}
+
+/** One predictor per observe scope and per devirtualized type, plus a
+ *  generic (virtual-loop) one. */
+const std::vector<std::string> kLineup = {
+    "BTB",     "BTB2b",  "GAp",          "TC-PIB",     "TC-PB",
+    "Dpath",   "Cascade", "PPM-hyb",     "Filtered-PPM", "ITTAGE",
+    "Perceptron", "Oracle-PIB@4"};
+
+/**
+ * The per-record replay protocol with a session's state and byte
+ * layout: metrics, then the RAS ring, then the timeline sampler when
+ * sampling is on.
+ */
+class ReferenceSession
+{
+  public:
+    explicit ReferenceSession(const EngineConfig &config)
+        : config_(config), ras_(config.rasDepth),
+          sampler_(config.timeline)
+    {
+    }
+
+    void
+    feed(const trace::BranchRecord *span, std::size_t n,
+         pred::IndirectPredictor &predictor)
+    {
+        for (std::size_t b = 0; b < n; ++b)
+            step(span[b], predictor);
+    }
+
+    void
+    finish(const pred::IndirectPredictor &predictor)
+    {
+        if (sampler_.enabled())
+            sample(predictor);
+    }
+
+    const RunMetrics &metrics() const { return metrics_; }
+    const obs::Timeline &timeline() const { return sampler_.timeline(); }
+
+    Bytes
+    stateBytes() const
+    {
+        util::StateWriter writer;
+        metrics_.saveState(writer);
+        ras_.saveState(writer);
+        if (sampler_.enabled())
+            sampler_.saveState(writer);
+        return writer.bytes();
+    }
+
+    Bytes
+    probeBytes() const
+    {
+        util::StateWriter writer;
+        ras_.saveProbes(writer);
+        return writer.bytes();
+    }
+
+  private:
+    void
+    step(const trace::BranchRecord &record,
+         pred::IndirectPredictor &predictor)
+    {
+        ++metrics_.branches;
+        if (record.isPredictedIndirect()) {
+            ++metrics_.mtIndirect;
+            const pred::Prediction prediction =
+                predictor.predictAndUpdate(record.pc, record.target);
+            const bool miss = !prediction.hit(record.target);
+            metrics_.indirectMisses.sample(miss);
+            metrics_.noPrediction.sample(!prediction.valid);
+            if (config_.perSiteStats) {
+                SiteMetrics &site = metrics_.perSite[record.pc];
+                site.misses.sample(miss);
+                site.lastTarget = record.target;
+            }
+        } else if (record.kind == trace::BranchKind::Return &&
+                   config_.useRas) {
+            trace::Addr predicted = 0;
+            const bool got = ras_.pop(predicted);
+            metrics_.returnMisses.sample(!got ||
+                                         predicted != record.target);
+        }
+        if (record.call && config_.useRas)
+            ras_.push(record.pc + 4);
+        if (predictor.wantsObserve())
+            predictor.observe(record);
+        if (sampler_.enabled() &&
+            metrics_.branches % sampler_.config().interval == 0)
+            sample(predictor);
+    }
+
+    void
+    sample(const pred::IndirectPredictor &predictor)
+    {
+        obs::TimelineSample sample;
+        sample.branches = metrics_.branches;
+        sample.predictions = metrics_.mtIndirect;
+        sample.misses = metrics_.indirectMisses.events();
+        sample.noPredictions = metrics_.noPrediction.events();
+        if (!sampler_.config().sampleProbes) {
+            sampler_.sample(sample, nullptr);
+            return;
+        }
+        obs::ProbeRegistry probes;
+        probes.counter("ras/overflows", ras_.overflows());
+        probes.counter("ras/underflows", ras_.underflows());
+        predictor.snapshotProbes(probes);
+        sampler_.sample(sample, &probes);
+    }
+
+    EngineConfig config_;
+    pred::ReturnAddressStack ras_;
+    RunMetrics metrics_;
+    obs::TimelineSampler sampler_;
+};
+
+Bytes
+sessionState(const ReplaySession &session)
+{
+    util::StateWriter writer;
+    session.saveState(writer);
+    return writer.bytes();
+}
+
+Bytes
+sessionProbes(const ReplaySession &session)
+{
+    util::StateWriter writer;
+    session.saveProbes(writer);
+    return writer.bytes();
+}
+
+Bytes
+predictorState(const pred::IndirectPredictor &predictor)
+{
+    util::StateWriter writer;
+    predictor.saveState(writer);
+    predictor.saveProbes(writer);
+    return writer.bytes();
+}
+
+Bytes
+timelineBytes(const obs::Timeline &timeline)
+{
+    util::StateWriter writer;
+    timeline.saveState(writer);
+    return writer.bytes();
+}
+
+/** A reference replay of the whole shared trace. */
+struct Reference
+{
+    std::unique_ptr<pred::IndirectPredictor> predictor;
+    std::unique_ptr<ReferenceSession> session;
+};
+
+Reference
+referenceRun(const std::string &name, const EngineConfig &config)
+{
+    Reference ref{makePredictor(name),
+                  std::make_unique<ReferenceSession>(config)};
+    const auto &records = sharedTrace().records();
+    ref.session->feed(records.data(), records.size(), *ref.predictor);
+    ref.session->finish(*ref.predictor);
+    return ref;
+}
+
+/** Everything a planned session and its predictor must share with the
+ *  reference. */
+void
+expectMatches(const Reference &want, const ReplaySession &session,
+              const pred::IndirectPredictor &predictor,
+              const std::string &label)
+{
+    const RunMetrics &a = want.session->metrics();
+    const RunMetrics &b = session.metrics();
+    EXPECT_EQ(a.branches, b.branches) << label;
+    EXPECT_EQ(a.mtIndirect, b.mtIndirect) << label;
+    EXPECT_EQ(a.indirectMisses.events(), b.indirectMisses.events())
+        << label;
+    EXPECT_EQ(a.noPrediction.events(), b.noPrediction.events()) << label;
+    EXPECT_EQ(a.returnMisses.events(), b.returnMisses.events()) << label;
+    EXPECT_EQ(a.returnMisses.total(), b.returnMisses.total()) << label;
+    // The shared trace's redirected returns miss whenever the RAS runs.
+    EXPECT_EQ(b.returnMisses.events() > 0, b.returnMisses.total() > 0)
+        << label;
+    EXPECT_EQ(a.perSite.size(), b.perSite.size()) << label;
+    EXPECT_EQ(want.session->stateBytes(), sessionState(session)) << label;
+    EXPECT_EQ(want.session->probeBytes(), sessionProbes(session))
+        << label;
+    EXPECT_EQ(predictorState(*want.predictor), predictorState(predictor))
+        << label;
+    EXPECT_EQ(timelineBytes(want.session->timeline()),
+              timelineBytes(session.timeline()))
+        << label;
+}
+
+/** Feed the shared trace through feed(span) in @p chunk-record spans. */
+void
+expectChunkedMatches(const EngineConfig &config,
+                     const std::vector<std::string> &names,
+                     const std::vector<std::size_t> &chunkings,
+                     const std::string &what)
+{
+    const auto &records = sharedTrace().records();
+    for (const auto &name : names) {
+        const Reference want = referenceRun(name, config);
+        for (std::size_t chunk : chunkings) {
+            auto predictor = makePredictor(name);
+            ReplaySession session(config);
+            for (std::size_t off = 0; off < records.size(); off += chunk)
+                session.feed(records.data() + off,
+                             std::min(chunk, records.size() - off),
+                             *predictor);
+            session.finish(*predictor);
+            expectMatches(want, session, *predictor,
+                          what + ", " + name + ", chunk " +
+                              std::to_string(chunk));
+        }
+    }
+}
+
+TEST(ReplayPlan, ChunkingsMatchThePerRecordReference)
+{
+    expectChunkedMatches({}, allPredictors(), {1, 7, 4095, 4096, 4097},
+                         "defaults");
+}
+
+TEST(ReplayPlan, RasOffMatchesThePerRecordReference)
+{
+    EngineConfig config;
+    config.useRas = false;
+    expectChunkedMatches(config, kLineup, {7, 4097}, "useRas off");
+}
+
+TEST(ReplayPlan, PerSiteStatsMatchThePerRecordReference)
+{
+    EngineConfig config;
+    config.perSiteStats = true;
+    expectChunkedMatches(config, kLineup, {7, 4097}, "perSiteStats");
+}
+
+TEST(ReplayPlan, TimelineWindowsOffTheChunkMatchThePerRecordReference)
+{
+    // Neither 1000 nor 5000 divides the 4096-record plan chunk, so
+    // windows close inside planned spans and plans are cut at them.
+    for (std::uint64_t interval : {1000u, 5000u}) {
+        EngineConfig config;
+        config.timeline.interval = interval;
+        config.timeline.sampleProbes = true;
+        expectChunkedMatches(config, kLineup, {7, 4096, 4097},
+                             "timeline " + std::to_string(interval));
+    }
+}
+
+TEST(ReplayPlan, ColumnsJoinARowPlanMidChunk)
+{
+    // A suite row's shape: one plan per chunk, chunks cut at window
+    // multiples, and columns restored from snapshots at 4500 and 6000
+    // joining the row's plans mid-chunk next to one that starts at 0.
+    constexpr std::uint64_t kWindow = 7000;
+    EngineConfig config;
+    config.timeline.interval = kWindow;
+    config.timeline.sampleProbes = true;
+    const auto &records = sharedTrace().records();
+    const std::vector<std::uint64_t> cursors = {0, 4500, 6000};
+
+    for (const auto &name : kLineup) {
+        const Reference want = referenceRun(name, config);
+        struct Column
+        {
+            std::unique_ptr<pred::IndirectPredictor> predictor;
+            std::unique_ptr<ReplaySession> session;
+            std::uint64_t cursor;
+        };
+        std::vector<Column> columns;
+        for (std::uint64_t cursor : cursors) {
+            Column column{makePredictor(name),
+                          std::make_unique<ReplaySession>(config),
+                          cursor};
+            if (cursor > 0) {
+                auto donor = makePredictor(name);
+                ReplaySession donor_session(config);
+                donor_session.feed(records.data(), cursor, *donor);
+                const PartialCell partial = capturePartialCell(
+                    "row", name, cursor, *donor, donor_session);
+                ASSERT_TRUE(restorePartialCell(
+                    partial, *column.predictor, *column.session));
+            }
+            columns.push_back(std::move(column));
+        }
+
+        ReplayPlan plan(config);
+        std::uint64_t pos = 0;
+        while (pos < records.size()) {
+            std::uint64_t end = std::min<std::uint64_t>(
+                records.size(), pos + trace::kReplayChunk);
+            end = std::min(end, (pos / kWindow + 1) * kWindow);
+            plan.build(records.data() + pos,
+                       static_cast<std::size_t>(end - pos));
+            for (auto &column : columns) {
+                if (column.cursor >= end)
+                    continue;
+                column.session->feed(
+                    plan,
+                    static_cast<std::size_t>(
+                        std::max(pos, column.cursor) - pos),
+                    *column.predictor);
+                column.cursor = end;
+            }
+            pos = end;
+        }
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            columns[c].session->finish(*columns[c].predictor);
+            expectMatches(want, *columns[c].session,
+                          *columns[c].predictor,
+                          name + ", joined at " +
+                              std::to_string(cursors[c]));
+        }
+    }
+}
+
+TEST(ReplayPlan, SuffixesCountTheChunksTail)
+{
+    // A column that joins at offset `from` takes the predicted records
+    // and the RAS outcomes of [from, n) and nothing before.
+    const auto &records = sharedTrace().records();
+    const std::size_t n = trace::kReplayChunk;
+    std::vector<bool> predicted(n), is_return(n), return_miss(n);
+    pred::ReturnAddressStack ras;
+    for (std::size_t i = 0; i < n; ++i) {
+        const trace::BranchRecord &record = records[i];
+        predicted[i] = record.isPredictedIndirect();
+        if (record.kind == trace::BranchKind::Return) {
+            trace::Addr target = 0;
+            is_return[i] = true;
+            return_miss[i] = !ras.pop(target) || target != record.target;
+        }
+        if (record.call)
+            ras.push(record.pc + 4);
+    }
+
+    ReplayPlan plan;
+    plan.build(records.data(), n);
+    std::uint64_t want_predicted = 0;
+    std::uint64_t want_returns = 0;
+    std::uint64_t want_misses = 0;
+    for (std::size_t from = n + 1; from-- > 0;) {
+        if (from < n) {
+            want_predicted += predicted[from];
+            want_returns += is_return[from];
+            want_misses += return_miss[from];
+        }
+        EXPECT_EQ(static_cast<std::uint64_t>(plan.predictedEnd() -
+                                             plan.predictedFrom(from)),
+                  want_predicted)
+            << from;
+        const util::Ratio returns = plan.returnsFrom(from);
+        EXPECT_EQ(returns.total(), want_returns) << from;
+        EXPECT_EQ(returns.events(), want_misses) << from;
+    }
+    EXPECT_GT(want_predicted, 0u);
+    EXPECT_GT(want_misses, 0u);
+    EXPECT_LT(want_misses, want_returns);
+
+    util::StateWriter want_ras;
+    util::StateWriter got_ras;
+    ras.saveState(want_ras);
+    plan.ras().saveState(got_ras);
+    EXPECT_EQ(want_ras.bytes(), got_ras.bytes());
+}
+
+/** Cells, probes and timelines of two suite results, bit for bit. */
+void
+expectSameSuite(const SuiteResult &want, const SuiteResult &got,
+                const std::string &label)
+{
+    ASSERT_EQ(want.cells.size(), got.cells.size()) << label;
+    for (std::size_t r = 0; r < want.cells.size(); ++r)
+        for (std::size_t c = 0; c < want.cells[r].size(); ++c) {
+            EXPECT_EQ(want.cells[r][c].missPercent,
+                      got.cells[r][c].missPercent)
+                << label << " (" << r << ", " << c << ")";
+            EXPECT_EQ(want.cells[r][c].noPredictionPercent,
+                      got.cells[r][c].noPredictionPercent)
+                << label << " (" << r << ", " << c << ")";
+            EXPECT_EQ(want.cells[r][c].predictions,
+                      got.cells[r][c].predictions)
+                << label << " (" << r << ", " << c << ")";
+        }
+    for (const auto &[name, registry] : want.probes)
+        EXPECT_EQ(registry.counters(), got.probes.at(name).counters())
+            << label << ": " << name;
+    ASSERT_EQ(want.timelines.size(), got.timelines.size()) << label;
+    for (const auto &[row, columns] : want.timelines)
+        for (const auto &[name, timeline] : columns)
+            EXPECT_EQ(timelineBytes(timeline),
+                      timelineBytes(got.timelines.at(row).at(name)))
+                << label << ": " << row << " x " << name;
+}
+
+TEST(ReplayPlan, SuiteColumnsResumeAtTwoCursorsInsideOneChunk)
+{
+    // Two columns of one row restart at 4500 and 6000.  With 4096-
+    // record chunks both cursors sit inside [4096, 8192); with windows
+    // every 1000 records (and the same checkpoint cadence) 4500 sits
+    // inside [4000, 5000) and 6000 starts a chunk.
+    const std::vector<std::string> names = {"BTB", "PPM-hyb", "Cascade"};
+    const auto profile = workload::smokeProfile();
+    for (std::uint64_t cadence : {0u, 1000u}) {
+        SuiteOptions options;
+        options.traceScale = 0.2;
+        options.engine.timeline.interval = cadence;
+        const std::string label = "cadence " + std::to_string(cadence);
+        const SuiteResult baseline = runSuite({profile}, names, options);
+
+        // The reference: the per-record loop over the whole row.
+        const trace::TraceBuffer trace =
+            generateTrace(profile, options.traceScale);
+        for (std::size_t c = 0; c < names.size(); ++c) {
+            auto predictor = makePredictor(names[c]);
+            ReferenceSession reference(options.engine);
+            reference.feed(trace.records().data(), trace.records().size(),
+                           *predictor);
+            EXPECT_EQ(baseline.cells[0][c].predictions,
+                      reference.metrics().mtIndirect)
+                << label << ", " << names[c];
+            EXPECT_EQ(baseline.cells[0][c].missPercent,
+                      reference.metrics().missPercent())
+                << label << ", " << names[c];
+        }
+
+        options.checkpointPath = ::testing::TempDir() +
+                                 "ibp_replay_plan_" +
+                                 std::to_string(cadence) + ".ckpt";
+        std::remove(options.checkpointPath.c_str());
+        options.checkpointEvery = cadence;
+        options.resume = true;
+        SuiteProgress progress;
+        progress.fingerprint = suiteFingerprint({profile}, names, options);
+        const std::uint64_t cursors[] = {4500, 6000};
+        for (std::size_t c = 1; c < names.size(); ++c) {
+            auto predictor = makePredictor(names[c]);
+            trace::TraceBuffer replay = trace;
+            ReplaySession session(options.engine);
+            const std::uint64_t cursor = cursors[c - 1];
+            ASSERT_EQ(session.run(replay, *predictor, cursor), cursor);
+            progress.partials.push_back(capturePartialCell(
+                profile.fullName(), names[c], cursor, *predictor,
+                session));
+        }
+        ASSERT_TRUE(writeCheckpointFile(options.checkpointPath,
+                                        encodeSuiteProgress(progress))
+                        .ok());
+        const SuiteResult resumed = runSuite({profile}, names, options);
+        expectSameSuite(baseline, resumed, label);
+        std::remove(options.checkpointPath.c_str());
+    }
+}
+
+} // namespace

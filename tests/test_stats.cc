@@ -33,6 +33,17 @@ TEST(Ratio, CountsEvents)
     EXPECT_DOUBLE_EQ(r.percent(), 50.0);
 }
 
+TEST(Ratio, AddMatchesSamples)
+{
+    Ratio counted;
+    counted.add(2, 5);
+    Ratio sampled;
+    for (bool event : {true, false, true, false, false})
+        sampled.sample(event);
+    EXPECT_EQ(counted.events(), sampled.events());
+    EXPECT_EQ(counted.total(), sampled.total());
+}
+
 TEST(Ratio, MergeAddsBoth)
 {
     Ratio a;
