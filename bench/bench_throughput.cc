@@ -14,11 +14,13 @@
  * binary measures the production replay path end to end.  Two replay
  * configurations are timed per predictor:
  *
- *  - branches_per_sec (headline): Engine::run() over a ReplaySource —
- *    the zero-copy nextSpan() path reading 24-byte records in place;
+ *  - branches_per_sec (headline): Engine::run() over a ReplaySource,
+ *    whose one nextSpan() run is the whole trace, read in place as
+ *    24-byte records;
  *  - packed_branches_per_sec: the same engine over a
- *    PackedReplaySource — the 16-byte packed format the trace cache
- *    keeps resident, unpacked in kReplayChunk-record spans.
+ *    PackedReplaySource, whose nextSpan() unpacks the 16-byte records
+ *    the trace cache keeps resident into one kReplayChunk-record
+ *    decode ring per run.
  *
  * The pair prices the packed format's memory savings (unpack
  * arithmetic vs. 1.5x less trace traffic) instead of hiding it.
@@ -33,6 +35,8 @@
  *     nonzero if any predictor, or trace generation's records/s
  *     under the same normalization, fell more than 15% below the
  *     pack.
+ * Any other argument starting with "--" prints the usage line and
+ * exits with status 2.
  */
 
 #include <algorithm>
@@ -246,11 +250,19 @@ main(int argc, char **argv)
     std::vector<char *> positional;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--baseline=", 0) == 0)
+        if (arg.rfind("--baseline=", 0) == 0) {
             baseline_path =
                 arg.substr(std::string("--baseline=").size());
-        else
+        } else if (arg.rfind("--", 0) == 0) {
+            // A typo (or `--baseline FILE`) is not a positional: it
+            // would name the output file and skip the gate.
+            std::cerr << argv[0] << ": unknown option '" << arg
+                      << "'\nusage: " << argv[0]
+                      << " [records] [out.json] [--baseline=FILE]\n";
+            return 2;
+        } else {
             positional.push_back(argv[i]);
+        }
     }
     if (positional.size() > 0)
         records = std::strtoull(positional[0], nullptr, 10);

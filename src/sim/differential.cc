@@ -107,10 +107,8 @@ checkReplayDivergence(const trace::TraceBuffer &trace,
                     std::to_string(reader.remaining()) +
                     " trailing bytes");
 
-    trace::ReplaySource tail(trace);
-    if (!tail.seek(half))
-        return fail("trace seek to midpoint failed");
-    resumed_session.run(tail, *resumed);
+    // The source already stands at the midpoint.
+    resumed_session.run(source, *resumed);
 
     if (metricsBytes(resumed_session.metrics()) !=
         metricsBytes(straight_session.metrics()))

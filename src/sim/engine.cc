@@ -218,21 +218,11 @@ ReplaySession::run(trace::BranchSource &source,
                    pred::IndirectPredictor &predictor,
                    std::uint64_t limit)
 {
-    // A span consumes the source's whole remainder (or its next decode
-    // ring) and cannot stop at a record boundary, so bounded runs read
-    // clamped batches instead.
-    const bool unbounded = limit == kNoLimit;
     std::uint64_t consumed = 0;
-    trace::BranchRecord batch[trace::kReplayChunk];
     while (consumed < limit) {
         const trace::BranchRecord *span = nullptr;
-        std::size_t n = unbounded ? source.nextSpan(span) : 0;
-        if (n == 0) {
-            n = source.nextBatch(
-                batch, static_cast<std::size_t>(std::min<std::uint64_t>(
-                           trace::kReplayChunk, limit - consumed)));
-            span = batch;
-        }
+        const std::size_t n = source.nextSpan(
+            span, static_cast<std::size_t>(limit - consumed));
         if (n == 0) {
             finish(predictor);
             break;

@@ -155,9 +155,8 @@ class ReplaySession
     /**
      * Replay up to @p limit records from @p source (kNoLimit = until
      * exhaustion) with @p predictor, accumulating into this session's
-     * metrics.  Unbounded runs read zero-copy spans; bounded runs read
-     * batches clamped to the limit.  Reaching the end of the source
-     * calls finish().
+     * metrics, one nextSpan() run at a time.  Reaching the end of the
+     * source calls finish().
      * @return records consumed by this call; less than @p limit means
      *         the source is exhausted.
      */

@@ -411,8 +411,7 @@ struct Column
     std::size_t index; ///< position in the predictor list
     std::unique_ptr<pred::IndirectPredictor> predictor;
     ReplaySession session;
-    std::uint64_t cursor = 0; ///< records replayed so far
-    PartialCell snapshot;     ///< latest mid-row snapshot, if any
+    PartialCell snapshot; ///< latest mid-row snapshot, if any
     double wallSeconds = 0;
     double cpuSeconds = 0;
 };
@@ -428,9 +427,18 @@ struct RowOutput
     double cpuSeconds = 0; ///< whole task: generation + replay
 };
 
+/** Records a column has replayed so far. */
+std::uint64_t
+cursorOf(const Column &column)
+{
+    return column.session.metrics().branches;
+}
+
 /**
  * Build a factory-fresh column, continuing from @p partial when it is
- * a usable snapshot for a trace of @p records records.
+ * a usable snapshot for a trace of @p records records: its blobs
+ * restore, and the restored session has replayed exactly the records
+ * its cursor field claims.
  */
 Column
 makeColumn(std::size_t index, const std::string &name,
@@ -442,10 +450,10 @@ makeColumn(std::size_t index, const std::string &name,
         return column;
     if (partial->cursor <= records &&
         restorePartialCell(*partial, *column.predictor,
-                           column.session)) {
+                           column.session) &&
+        cursorOf(column) == partial->cursor) {
         // Mid-replay resume: the prefix was consumed by the
         // interrupted run; its effects live in the restored state.
-        column.cursor = partial->cursor;
         column.snapshot = *partial;
         return column;
     }
@@ -516,7 +524,7 @@ runRow(const workload::BenchmarkProfile &profile,
     // column already consumed is regenerated but not fed to it again.
     std::uint64_t resumed_at = total;
     for (const auto &column : columns)
-        resumed_at = std::min(resumed_at, column.cursor);
+        resumed_at = std::min(resumed_at, cursorOf(column));
     const std::uint64_t every =
         progress != nullptr ? options.checkpointEvery : 0;
     const std::uint64_t window = options.engine.timeline.interval;
@@ -537,9 +545,10 @@ runRow(const workload::BenchmarkProfile &profile,
         plan.build(chunk.data(), n);
         output.planSeconds += secondsSince(plan_start);
         for (auto &column : columns) {
-            if (column.cursor >= end)
+            const std::uint64_t cursor = cursorOf(column);
+            if (cursor >= end)
                 continue; // resumed ahead of this chunk
-            const std::uint64_t from = std::max(pos, column.cursor);
+            const std::uint64_t from = std::max(pos, cursor);
             const double feed_wall = obs::wallSeconds();
             const double feed_cpu = obs::threadCpuSeconds();
             column.session.feed(plan,
@@ -547,7 +556,6 @@ runRow(const workload::BenchmarkProfile &profile,
                                 *column.predictor);
             column.cpuSeconds += obs::threadCpuSeconds() - feed_cpu;
             column.wallSeconds += secondsSince(feed_wall);
-            column.cursor = end;
         }
         pos = end;
         // Snapshots taken inside the regenerated prefix would only
@@ -556,7 +564,7 @@ runRow(const workload::BenchmarkProfile &profile,
             pos < total) {
             std::vector<PartialCell> partials;
             for (auto &column : columns) {
-                if (column.cursor == pos)
+                if (cursorOf(column) == pos)
                     column.snapshot = capturePartialCell(
                         row_name, predictor_names[column.index], pos,
                         *column.predictor, column.session);

@@ -11,7 +11,7 @@
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/thread_pool.hh"
-#include "workload/program.hh"
+#include "sim/experiment.hh"
 
 namespace ibp::sim {
 
@@ -58,13 +58,6 @@ resolvedPredictors(const FuzzOptions &options)
 {
     return options.predictors.empty() ? allPredictors()
                                       : options.predictors;
-}
-
-trace::TraceBuffer
-makeTrace(const workload::BenchmarkProfile &profile)
-{
-    workload::Program program = workload::synthesize(profile.program);
-    return program.collect(profile.records);
 }
 
 /** 4-sigma binomial allowance (in percentage points) for a measured
@@ -123,7 +116,7 @@ evaluateProfile(const workload::BenchmarkProfile &profile,
                 const std::vector<std::string> &replay_names)
 {
     std::vector<FuzzFinding> findings;
-    const trace::TraceBuffer trace = makeTrace(profile);
+    const trace::TraceBuffer trace = generateTrace(profile);
     const std::vector<std::string> names = resolvedPredictors(options);
     const std::vector<LineupEntry> lineup = runLineup(trace, names);
 

@@ -15,8 +15,8 @@
  * PackedTraceBuffer is the container the memoized trace cache hands
  * out: immutable after construction, shared by every suite cell
  * replaying that trace.  PackedReplaySource is the per-cell cursor; it
- * unpacks contiguous runs in nextBatch(), so the engine pays one
- * virtual call per batch instead of one per record.
+ * unpacks contiguous runs in nextSpan(), so the engine pays one
+ * virtual call per chunk instead of one per record.
  */
 
 #ifndef IBP_TRACE_PACKED_TRACE_HH_
@@ -173,9 +173,11 @@ class PackedTraceBuffer : public BranchSink
 
 /**
  * A read-only replay cursor over a PackedTraceBuffer owned elsewhere.
- * Unpacking happens in nextBatch()'s contiguous run, so replaying N
- * records costs N/batch virtual calls and 16 bytes of memory traffic
- * per record instead of N virtual calls over 24-byte records.
+ * nextSpan() unpacks each run into a kReplayChunk-record decode ring
+ * (96 KiB, plus the 64 KiB packed run it reads: both stay
+ * L2-resident), so replaying N records costs N/kReplayChunk virtual
+ * calls and 16 bytes of memory traffic per record instead of N
+ * virtual calls over 24-byte records.
  */
 class PackedReplaySource : public BranchSource
 {
@@ -194,53 +196,33 @@ class PackedReplaySource : public BranchSource
     }
 
     std::size_t
-    nextBatch(BranchRecord *out, std::size_t max) override
+    nextSpan(const BranchRecord *&span,
+             std::size_t max = kWholeRun) override
     {
         const std::size_t n =
-            std::min(max, buffer_->size() - cursor_);
+            std::min({max, kReplayChunk, buffer_->size() - cursor_});
         const PackedBranchRecord *run =
             buffer_->packed().data() + cursor_;
         const Addr base = buffer_->base();
+        BranchRecord *ring = chunk();
         for (std::size_t i = 0; i < n; ++i)
-            out[i] = run[i].unpack(base);
+            ring[i] = run[i].unpack(base);
         cursor_ += n;
-        return n;
-    }
-
-    std::size_t
-    nextSpan(const BranchRecord *&span) override
-    {
-        // The ring is allocated on first use so cursors that only
-        // ever nextBatch() (bounded replays) stay allocation-free.
-        if (ring_.empty())
-            ring_.resize(kReplayChunk);
-        const std::size_t n = nextBatch(ring_.data(), kReplayChunk);
-        span = ring_.data();
+        span = ring;
         return n;
     }
 
     /** Restart iteration from the beginning. */
     void rewind() { cursor_ = 0; }
 
-    std::uint64_t cursor() const override { return cursor_; }
-
-    bool
-    seek(std::uint64_t position) override
-    {
-        if (position > buffer_->size())
-            return false;
-        cursor_ = static_cast<std::size_t>(position);
-        return true;
-    }
+    /** Records consumed so far. */
+    std::uint64_t cursor() const { return cursor_; }
 
     std::size_t size() const { return buffer_->size(); }
 
   private:
     const PackedTraceBuffer *buffer_;
     std::size_t cursor_ = 0;
-    /** nextSpan() decode ring of kReplayChunk records (96 KiB, plus
-     *  the 64 KiB packed run it reads: both stay L2-resident). */
-    std::vector<BranchRecord> ring_;
 };
 
 } // namespace ibp::trace

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,14 +17,18 @@
 namespace ibp::trace {
 
 /**
- * Records per replay chunk: the decode ring of a packed cursor, the
- * bounded-replay batch and the run a suite row feeds each predictor
+ * Records per replay chunk: the most a built (not in-place) span holds
+ * — the decode ring of a packed cursor, the scratch chunk of a
+ * streaming reader — and the run a suite row feeds each predictor
  * column at a time.  A few thousand records amortize per-chunk calls
  * to nothing while a chunk of 24-byte records (96 KiB) stays
  * L2-resident across every consumer.  Any size gives the same
  * simulated numbers: the replay loop carries no cross-chunk state.
  */
 inline constexpr std::size_t kReplayChunk = 4096;
+
+/** nextSpan()'s default bound: the source's whole next run. */
+inline constexpr std::size_t kWholeRun = ~std::size_t{0};
 
 /** Anything that consumes a stream of branch records. */
 class BranchSink
@@ -37,7 +40,11 @@ class BranchSink
     virtual void push(const BranchRecord &record) = 0;
 };
 
-/** Anything that produces a stream of branch records. */
+/**
+ * Anything that produces a stream of branch records, pulled one
+ * record at a time (next()) or one run at a time (nextSpan(), what
+ * the replay engine reads).
+ */
 class BranchSource
 {
   public:
@@ -52,62 +59,41 @@ class BranchSource
     virtual bool next(BranchRecord &record) = 0;
 
     /**
-     * Fetch up to @p max records into @p out.  The records are exactly
-     * what the same number of next() calls would have produced — the
-     * batch is purely an amortization of the per-record virtual call,
-     * which is what the simulation engine's hot loop runs on.
-     * @return the number of records produced; 0 means exhausted.
+     * Expose the next run of at most @p max records: exactly what as
+     * many next() calls would have produced.
+     * @param span receives a pointer to the run, valid until the next
+     *        call on this source
+     * @return the run length; 0 means exhausted (or @p max is 0)
      *
-     * The default shim loops next(), so every source supports
-     * batching; contiguous sources override it with a bulk copy.
+     * In-memory sources return their remainder in place, with no
+     * per-record copy.  The default fills a kReplayChunk-record
+     * scratch chunk from next(), so every source can be replayed.
      */
     virtual std::size_t
-    nextBatch(BranchRecord *out, std::size_t max)
+    nextSpan(const BranchRecord *&span, std::size_t max = kWholeRun)
     {
+        BranchRecord *out = chunk();
+        const std::size_t cap = std::min(max, kReplayChunk);
         std::size_t n = 0;
-        while (n < max && next(out[n]))
+        while (n < cap && next(out[n]))
             ++n;
+        span = out;
         return n;
     }
 
-    /**
-     * Expose the next run of records in place, without copying.
-     * @param span receives a pointer to the run, valid until the next
-     *        call on this source
-     * @return the run length; 0 means "exhausted or no span support"
-     *         (the default), in which case callers fall back to
-     *         nextBatch().
-     *
-     * Sources backed by contiguous storage override this so consumers
-     * (the simulation engine's replay loop) read records straight out
-     * of the trace with no per-record copy at all.
-     */
-    virtual std::size_t
-    nextSpan(const BranchRecord *&span)
+  protected:
+    /** A kReplayChunk-record chunk for runs that are built rather than
+     *  read in place; allocated on first use. */
+    BranchRecord *
+    chunk()
     {
-        span = nullptr;
-        return 0;
+        if (chunk_.empty())
+            chunk_.resize(kReplayChunk);
+        return chunk_.data();
     }
 
-    /**
-     * Records consumed so far.  Only meaningful for seekable sources
-     * (the in-memory cursors); streaming sources report 0.
-     */
-    virtual std::uint64_t cursor() const { return 0; }
-
-    /**
-     * Reposition the stream to @p position records from the start, so
-     * a checkpointed replay resumes mid-trace without re-consuming the
-     * prefix.
-     * @retval false this source cannot seek (the default), or
-     *         @p position is past the end
-     */
-    virtual bool
-    seek(std::uint64_t position)
-    {
-        (void)position;
-        return false;
-    }
+  private:
+    std::vector<BranchRecord> chunk_;
 };
 
 /**
@@ -139,37 +125,20 @@ class TraceBuffer : public BranchSink, public BranchSource
     }
 
     std::size_t
-    nextBatch(BranchRecord *out, std::size_t max) override
-    {
-        const std::size_t n =
-            std::min(max, records_.size() - cursor_);
-        std::copy_n(records_.data() + cursor_, n, out);
-        cursor_ += n;
-        return n;
-    }
-
-    std::size_t
-    nextSpan(const BranchRecord *&span) override
+    nextSpan(const BranchRecord *&span,
+             std::size_t max = kWholeRun) override
     {
         span = records_.data() + cursor_;
-        const std::size_t n = records_.size() - cursor_;
-        cursor_ = records_.size();
+        const std::size_t n = std::min(max, records_.size() - cursor_);
+        cursor_ += n;
         return n;
     }
 
     /** Restart iteration from the beginning. */
     void rewind() { cursor_ = 0; }
 
-    std::uint64_t cursor() const override { return cursor_; }
-
-    bool
-    seek(std::uint64_t position) override
-    {
-        if (position > records_.size())
-            return false;
-        cursor_ = static_cast<std::size_t>(position);
-        return true;
-    }
+    /** Records consumed so far. */
+    std::uint64_t cursor() const { return cursor_; }
 
     /** Pre-allocate room for @p n records (bulk generation). */
     void reserve(std::size_t n) { records_.reserve(n); }
@@ -222,88 +191,26 @@ class ReplaySource : public BranchSource
     }
 
     std::size_t
-    nextBatch(BranchRecord *out, std::size_t max) override
-    {
-        const std::size_t n =
-            std::min(max, records_->size() - cursor_);
-        std::copy_n(records_->data() + cursor_, n, out);
-        cursor_ += n;
-        return n;
-    }
-
-    std::size_t
-    nextSpan(const BranchRecord *&span) override
+    nextSpan(const BranchRecord *&span,
+             std::size_t max = kWholeRun) override
     {
         span = records_->data() + cursor_;
-        const std::size_t n = records_->size() - cursor_;
-        cursor_ = records_->size();
+        const std::size_t n = std::min(max, records_->size() - cursor_);
+        cursor_ += n;
         return n;
     }
 
     /** Restart iteration from the beginning. */
     void rewind() { cursor_ = 0; }
 
-    std::uint64_t cursor() const override { return cursor_; }
-
-    bool
-    seek(std::uint64_t position) override
-    {
-        if (position > records_->size())
-            return false;
-        cursor_ = static_cast<std::size_t>(position);
-        return true;
-    }
+    /** Records consumed so far. */
+    std::uint64_t cursor() const { return cursor_; }
 
     std::size_t size() const { return records_->size(); }
 
   private:
     const std::vector<BranchRecord> *records_;
     std::size_t cursor_ = 0;
-};
-
-/**
- * Adapter exposing a callback as a BranchSink (handy in tests and in
- * the trace tools, which want to fan one stream out to several
- * consumers).
- */
-class CallbackSink : public BranchSink
-{
-  public:
-    using Fn = std::function<void(const BranchRecord &)>;
-
-    explicit CallbackSink(Fn fn) : fn_(std::move(fn)) {}
-
-    void push(const BranchRecord &record) override { fn_(record); }
-
-  private:
-    Fn fn_;
-};
-
-/**
- * A filtering source: forwards only records matching a predicate.
- * Used e.g. to present "MT indirect branches only" views of a trace.
- */
-class FilterSource : public BranchSource
-{
-  public:
-    using Predicate = std::function<bool(const BranchRecord &)>;
-
-    FilterSource(BranchSource &inner, Predicate pred)
-        : inner_(inner), pred_(std::move(pred))
-    {}
-
-    bool
-    next(BranchRecord &record) override
-    {
-        while (inner_.next(record))
-            if (pred_(record))
-                return true;
-        return false;
-    }
-
-  private:
-    BranchSource &inner_;
-    Predicate pred_;
 };
 
 } // namespace ibp::trace

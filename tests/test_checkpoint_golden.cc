@@ -188,7 +188,8 @@ TEST(CheckpointGolden, FixtureRestoresAndContinues)
     // must still *mean* the same thing, not merely parse.
     trace::TraceBuffer trace = generateTrace(workload::smokeProfile());
     ASSERT_GE(trace.size(), kSplit + kTail);
-    ASSERT_TRUE(trace.seek(kSplit));
+    const trace::BranchRecord *prefix = nullptr;
+    ASSERT_EQ(trace.nextSpan(prefix, kSplit), kSplit);
     EXPECT_EQ(session.run(trace, *predictor, kTail), kTail);
     CheckpointMeta resumed_meta = meta;
     resumed_meta.cursor = kSplit + kTail;

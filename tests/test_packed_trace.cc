@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the packed 16-byte trace representation and the batched
+ * Tests for the packed 16-byte trace representation and the span
  * replay path: pack/unpack is a lossless round trip, every replay
- * source yields the same record stream batched or record-at-a-time,
+ * source yields the same record stream in spans or record-at-a-time,
  * and the engine produces bit-identical metrics regardless of which
  * source replays a trace.
  */
@@ -127,20 +127,37 @@ drainSingle(BranchSource &source)
     return records;
 }
 
-/// Drain a source through nextBatch() with an odd batch size so the
-/// final batch is partial.
+/// A source that implements only next(), like the streaming readers.
+class NextOnlySource : public BranchSource
+{
+  public:
+    explicit NextOnlySource(const TraceBuffer &trace) : trace_(trace) {}
+
+    bool
+    next(BranchRecord &record) override
+    {
+        if (i_ >= trace_.size())
+            return false;
+        record = trace_[i_++];
+        return true;
+    }
+
+  private:
+    const TraceBuffer &trace_;
+    std::size_t i_ = 0;
+};
+
+/// Drain a source through nextSpan() runs of at most @p max records;
+/// an odd @p max leaves the final run partial.
 std::vector<BranchRecord>
-drainBatched(BranchSource &source, std::size_t batch_size)
+drainSpans(BranchSource &source, std::size_t max)
 {
     std::vector<BranchRecord> records;
-    std::vector<BranchRecord> batch(batch_size);
-    for (;;) {
-        const std::size_t n =
-            source.nextBatch(batch.data(), batch_size);
-        if (n == 0)
-            break;
-        records.insert(records.end(), batch.begin(),
-                       batch.begin() + n);
+    const BranchRecord *span = nullptr;
+    std::size_t n = 0;
+    while ((n = source.nextSpan(span, max)) != 0) {
+        EXPECT_LE(n, max);
+        records.insert(records.end(), span, span + n);
     }
     return records;
 }
@@ -159,19 +176,21 @@ TEST(BatchedReplay, EverySourceYieldsTheSameStreamBatchedOrNot)
     }
     ASSERT_EQ(reference.size(), trace.size());
 
-    for (const std::size_t batch_size : {1u, 7u, 256u, 4096u}) {
+    for (const std::size_t max : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{255}, kReplayChunk + 1,
+                                  kWholeRun}) {
         ReplaySource replay(trace);
-        EXPECT_EQ(drainBatched(replay, batch_size), reference)
-            << "ReplaySource, batch " << batch_size;
+        EXPECT_EQ(drainSpans(replay, max), reference)
+            << "ReplaySource, max " << max;
 
         PackedReplaySource packed_replay(packed);
-        EXPECT_EQ(drainBatched(packed_replay, batch_size), reference)
-            << "PackedReplaySource, batch " << batch_size;
+        EXPECT_EQ(drainSpans(packed_replay, max), reference)
+            << "PackedReplaySource, max " << max;
 
         TraceBuffer copy = trace;
         copy.rewind();
-        EXPECT_EQ(drainBatched(copy, batch_size), reference)
-            << "TraceBuffer, batch " << batch_size;
+        EXPECT_EQ(drainSpans(copy, max), reference)
+            << "TraceBuffer, max " << max;
     }
 
     PackedReplaySource single(packed);
@@ -181,23 +200,19 @@ TEST(BatchedReplay, EverySourceYieldsTheSameStreamBatchedOrNot)
 TEST(BatchedReplay, DefaultShimBatchesSourcesWithoutAnOverride)
 {
     auto profile = ibp::workload::smokeProfile();
-    profile.records = 1000;
+    profile.records = 9000; // more than two scratch chunks
     const TraceBuffer trace = ibp::sim::generateTrace(profile);
 
-    // FilterSource has no nextBatch() override, so this exercises the
-    // BranchSource default shim.
-    ReplaySource all_a(trace);
-    FilterSource filtered_a(all_a, [](const BranchRecord &r) {
-        return r.isPredictedIndirect();
-    });
-    ReplaySource all_b(trace);
-    FilterSource filtered_b(all_b, [](const BranchRecord &r) {
-        return r.isPredictedIndirect();
-    });
-
-    const auto reference = drainSingle(filtered_a);
-    ASSERT_FALSE(reference.empty());
-    EXPECT_EQ(drainBatched(filtered_b, 64), reference);
+    // NextOnlySource has no nextSpan() override, so this exercises the
+    // BranchSource default: runs built from next() in a scratch chunk.
+    NextOnlySource single(trace);
+    const auto reference = drainSingle(single);
+    ASSERT_EQ(reference, trace.records());
+    for (const std::size_t max :
+         {std::size_t{1}, std::size_t{64}, kReplayChunk + 1, kWholeRun}) {
+        NextOnlySource spans(trace);
+        EXPECT_EQ(drainSpans(spans, max), reference) << "max " << max;
+    }
 }
 
 void
@@ -240,9 +255,14 @@ TEST(BatchedReplay, EngineMetricsIdenticalAcrossSourcesForEveryProfile)
             PackedReplaySource packed_replay(packed);
             const auto via_packed = engine.run(packed_replay, *p3);
 
+            auto p4 = ibp::sim::makePredictor(name);
+            NextOnlySource streamed(trace);
+            const auto via_chunks = engine.run(streamed, *p4);
+
             const std::string what = profile.fullName() + "/" + name;
             expectSameMetrics(direct, via_replay, what.c_str());
             expectSameMetrics(direct, via_packed, what.c_str());
+            expectSameMetrics(direct, via_chunks, what.c_str());
         }
     }
 }

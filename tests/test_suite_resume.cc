@@ -467,6 +467,50 @@ TEST(SuiteResume, ResumeWithEveryColumnAtOneCursorSkipsTheFedPrefix)
     std::remove(options.checkpointPath.c_str());
 }
 
+TEST(SuiteResume, PartialWhoseCursorDisagreesWithItsStateRunsFresh)
+{
+    // A snapshot's cursor field must match the record count its engine
+    // state has replayed.  Trusting a crafted or corrupt field feeds
+    // the column from the wrong record: one record off, a replay plan
+    // crosses a timeline window; further off, the cell silently skips
+    // records.  Such a snapshot is unusable, like a corrupt blob.
+    SuiteOptions options;
+    options.threads = 1;
+    options.engine.timeline.interval = 1000;
+    options.checkpointEvery = 10000;
+    const std::vector<workload::BenchmarkProfile> profiles = {
+        workload::smokeProfile()}; // 50k records
+    const std::vector<std::string> names = {"PPM-hyb"};
+    const SuiteResult baseline = runSuite(profiles, names, options);
+
+    options.resume = true;
+    const PartialCell honest =
+        partialAt(profiles[0], names[0], options, 20000);
+    ASSERT_TRUE(honest.valid);
+    for (const std::int64_t skew : {-1, 1, 3000}) {
+        const std::string label = "cursor skew " + std::to_string(skew);
+        options.checkpointPath =
+            scratchPath("skewed_cursor_" + std::to_string(skew + 1));
+        SuiteProgress progress;
+        progress.fingerprint =
+            suiteFingerprint(profiles, names, options);
+        progress.partials.push_back(honest);
+        progress.partials.back().cursor =
+            static_cast<std::uint64_t>(20000 + skew);
+        ASSERT_TRUE(writeCheckpointFile(options.checkpointPath,
+                                        encodeSuiteProgress(progress))
+                        .ok());
+
+        util::resetWarnCount();
+        const SuiteResult resumed = runSuite(profiles, names, options);
+        EXPECT_GE(util::warnCount(), 1u)
+            << label << ": a disagreeing cursor must be called out";
+        expectSameResult(baseline, resumed, label.c_str());
+        expectSameTimelines(baseline, resumed, label.c_str());
+        std::remove(options.checkpointPath.c_str());
+    }
+}
+
 TEST(SuiteResume, MidCellCadenceDoesNotChangeResults)
 {
     const SuiteResult baseline = runBaseline();

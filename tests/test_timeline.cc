@@ -381,7 +381,10 @@ TEST(TimelineResume, MidWindowResumeIsByteIdenticalForEveryPredictor)
         ASSERT_TRUE(restoreSimCheckpoint(snapshot, restored,
                                          *resumed_predictor, resumed)
                         .ok());
-        ASSERT_TRUE(trace.seek(kSplit));
+        // Skip the replayed prefix, then continue from it.
+        trace.rewind();
+        const trace::BranchRecord *prefix = nullptr;
+        ASSERT_EQ(trace.nextSpan(prefix, kSplit), kSplit);
         resumed.run(trace, *resumed_predictor);
         EXPECT_EQ(timelineBytes(resumed.timeline()), want)
             << "resume changed the timeline bytes";

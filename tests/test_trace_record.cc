@@ -127,37 +127,4 @@ TEST(TraceBuffer, ClearEmpties)
     EXPECT_FALSE(buf.next(out));
 }
 
-TEST(CallbackSink, ForwardsRecords)
-{
-    int calls = 0;
-    ibp::trace::CallbackSink sink(
-        [&calls](const BranchRecord &) { ++calls; });
-    sink.push({});
-    sink.push({});
-    EXPECT_EQ(calls, 2);
-}
-
-TEST(FilterSource, ForwardsOnlyMatches)
-{
-    TraceBuffer buf;
-    for (int i = 0; i < 6; ++i) {
-        BranchRecord r;
-        r.pc = i;
-        r.kind = i % 2 ? BranchKind::IndirectJmp
-                       : BranchKind::CondDirect;
-        r.multiTarget = i % 2;
-        buf.push(r);
-    }
-    FilterSource mt_only(buf, [](const BranchRecord &r) {
-        return r.isPredictedIndirect();
-    });
-    BranchRecord out;
-    int count = 0;
-    while (mt_only.next(out)) {
-        EXPECT_TRUE(out.isPredictedIndirect());
-        ++count;
-    }
-    EXPECT_EQ(count, 3);
-}
-
 } // namespace
