@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 
 #include "bench_util.hh"
 #include "workload/profiles.hh"
@@ -49,7 +50,7 @@ main(int argc, char **argv)
     }
 
     std::printf("\n");
-    ibp::bench::timingFooter(total);
+    ibp::sim::printSuiteTimingFooter(std::cout, total);
     std::printf("\nExpected shape: every predictor improves with size;"
                 " path-indexed designs gain most below 1x (capacity-"
                 "bound), BTBs saturate early.\n");

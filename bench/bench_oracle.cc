@@ -8,6 +8,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.hh"
 #include "workload/profiles.hh"
@@ -22,6 +24,13 @@ main(int argc, char **argv)
         scale);
 
     const unsigned lengths[] = {1, 2, 4, 8, 16};
+    std::vector<std::string> oracles;
+    for (unsigned len : lengths)
+        oracles.push_back("Oracle-PIB@" + std::to_string(len));
+    ibp::sim::SuiteOptions options;
+    options.traceScale = scale;
+    const auto result = ibp::sim::runSuite(ibp::workload::standardSuite(),
+                                           oracles, options);
 
     std::printf("%-10s", "benchmark");
     for (unsigned len : lengths)
@@ -29,16 +38,13 @@ main(int argc, char **argv)
     std::printf("   (misprediction %%)\n");
 
     double photon_at_8 = -1;
-    for (const auto &profile : ibp::workload::standardSuite()) {
-        std::printf("%-10s", profile.fullName().c_str());
-        for (unsigned len : lengths) {
-            ibp::sim::SuiteOptions options;
-            options.traceScale = scale;
-            const auto metrics = ibp::sim::runOne(
-                profile, "Oracle-PIB@" + std::to_string(len), options);
-            std::printf(" %7.2f", metrics.missPercent());
-            if (profile.fullName() == "photon" && len == 8)
-                photon_at_8 = metrics.missPercent();
+    for (std::size_t r = 0; r < result.rowNames.size(); ++r) {
+        std::printf("%-10s", result.rowNames[r].c_str());
+        for (std::size_t c = 0; c < oracles.size(); ++c) {
+            const double miss = result.cells[r][c].missPercent;
+            std::printf(" %7.2f", miss);
+            if (result.rowNames[r] == "photon" && lengths[c] == 8)
+                photon_at_8 = miss;
         }
         std::printf("\n");
     }

@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <iostream>
 
 #include "bench_util.hh"
 #include "workload/profiles.hh"
@@ -69,7 +70,7 @@ main(int argc, char **argv)
                 ordering_holds, seeds);
     std::printf("BTB worst of the lineup on %d/%u seeds\n", btb_worst,
                 seeds);
-    ibp::bench::timingFooter(timing);
+    ibp::sim::printSuiteTimingFooter(std::cout, timing);
 
     auto report = ibp::sim::buildSweepReport("bench_robustness",
                                              options, sweep, timing);

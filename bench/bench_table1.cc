@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <iostream>
 #include <vector>
 
 #include "bench_util.hh"
@@ -106,7 +107,7 @@ main(int argc, char **argv)
         std::chrono::duration<double>(Clock::now() - wall_start).count();
 
     std::printf("\n");
-    ibp::bench::timingFooter(timing);
+    ibp::sim::printSuiteTimingFooter(std::cout, timing);
     std::printf("\nNote: instruction counts are synthetic "
                 "(branches x %.0f instructions/branch at scale %.2f); "
                 "the paper's traces were 100-1000x longer.\n",

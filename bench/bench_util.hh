@@ -186,21 +186,6 @@ banner(const std::string &what, const ibp::sim::SuiteOptions &options)
                 ibp::util::ThreadPool::resolveThreads(options.threads));
 }
 
-/** Print the suite wall-clock / speedup footer to stdout. */
-inline void
-timingFooter(const ibp::sim::SuiteTiming &timing)
-{
-    if (timing.threadsUsed <= 1) {
-        std::printf("wall-clock  %.2f s (serial path)\n",
-                    timing.wallSeconds);
-        return;
-    }
-    std::printf("wall-clock  %.2f s on %u threads "
-                "(serial-equivalent %.2f s, speedup %.1fx)\n",
-                timing.wallSeconds, timing.threadsUsed,
-                timing.serialEquivalentSeconds, timing.speedup());
-}
-
 /**
  * Write the driver's machine-readable run report.  The path comes
  * from the IBP_REPORT environment variable when set ("off" disables

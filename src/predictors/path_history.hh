@@ -212,7 +212,6 @@ class SymbolHistory
     {
         return static_cast<unsigned>(symbols_.size());
     }
-    unsigned bitsPerSymbol() const { return symbolBits; }
     StreamSel stream() const { return stream_; }
 
     /** Total register cost in bits. */

@@ -80,16 +80,6 @@ CorrelationStudy::dynamicShare(CorrelationClass cls) const
            static_cast<double>(dynamicTotal);
 }
 
-std::size_t
-CorrelationStudy::staticCount(CorrelationClass cls) const
-{
-    std::size_t n = 0;
-    for (const auto &site : sites)
-        if (site.cls == cls)
-            ++n;
-    return n;
-}
-
 CorrelationStudy
 studyCorrelation(trace::BranchSource &source,
                  const StudyOptions &options)

@@ -55,9 +55,6 @@ struct CorrelationStudy
 
     /** Dynamic execution share of each class. */
     double dynamicShare(CorrelationClass cls) const;
-
-    /** Static site count of each class. */
-    std::size_t staticCount(CorrelationClass cls) const;
 };
 
 /** Study parameters. */

@@ -300,10 +300,11 @@ suiteFingerprint(const std::vector<workload::BenchmarkProfile> &profiles,
     char size[32];
     std::snprintf(scale, sizeof(scale), "%a", options.traceScale);
     std::snprintf(size, sizeof(size), "%a", options.factory.sizeScale);
+    // The engine's RAS is fixed at 16 entries; "ras=1:16" keeps the
+    // text of files written while it was configurable, so they resume.
     std::ostringstream out;
     out << "v" << kCheckpointVersion << "|scale=" << scale
-        << "|size=" << size << "|ras=" << (options.engine.useRas ? 1 : 0)
-        << ":" << options.engine.rasDepth
+        << "|size=" << size << "|ras=1:16"
         << "|persite=" << (options.engine.perSiteStats ? 1 : 0)
         << "|timeline=" << options.engine.timeline.interval << ":"
         << (options.engine.timeline.sampleProbes ? 1 : 0);

@@ -1,5 +1,7 @@
 #include "sim/differential.hh"
 
+#include <memory>
+
 #include "util/logging.hh"
 #include "util/serde.hh"
 
@@ -30,17 +32,20 @@ runLineup(const trace::TraceBuffer &trace,
           const std::vector<std::string> &names,
           const EngineConfig &config, const FactoryOptions &options)
 {
-    std::vector<LineupEntry> lineup;
-    lineup.reserve(names.size());
-    Engine engine(config);
-    for (const std::string &name : names) {
-        auto predictor = makePredictor(name, options);
-        trace::ReplaySource source(trace);
-        LineupEntry entry;
-        entry.name = name;
-        entry.metrics = engine.run(source, *predictor);
-        lineup.push_back(std::move(entry));
+    std::vector<std::unique_ptr<pred::IndirectPredictor>> predictors;
+    std::vector<ReplaySession> sessions(names.size(),
+                                        ReplaySession(config));
+    ReplayRow row(config);
+    for (std::size_t c = 0; c < names.size(); ++c) {
+        predictors.push_back(makePredictor(names[c], options));
+        row.addColumn(*predictors.back(), sessions[c]);
     }
+    row.feed(trace.records().data(), trace.size());
+    row.finish();
+
+    std::vector<LineupEntry> lineup;
+    for (std::size_t c = 0; c < names.size(); ++c)
+        lineup.push_back({names[c], sessions[c].metrics()});
     return lineup;
 }
 

@@ -31,9 +31,9 @@ struct LineupEntry
 };
 
 /**
- * Run each named predictor over @p trace (each on its own ReplaySource
- * cursor — the trace itself is never mutated) and return the outcomes
- * in the given name order.
+ * Run the named predictors over @p trace as the columns of one
+ * ReplayRow (the trace itself is never mutated) and return the
+ * outcomes in the given name order.
  */
 std::vector<LineupEntry>
 runLineup(const trace::TraceBuffer &trace,

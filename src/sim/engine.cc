@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "util/logging.hh"
+#include "obs/cputime.hh"
 #include "predictors/btb.hh"
 #include "predictors/cascade.hh"
 #include "predictors/dpath.hh"
@@ -132,19 +133,14 @@ Engine::run(trace::BranchSource &source,
     return session.metrics();
 }
 
-ReplayPlan::ReplayPlan(const EngineConfig &config)
-    : useRas_(config.useRas), ras_(config.rasDepth)
-{
-}
-
 void
 ReplayPlan::build(const trace::BranchRecord *span, std::size_t n)
 {
     panic_if(n > trace::kReplayChunk, "replay plan chunk too long: ", n);
-    if (predicted_.empty()) {
-        predicted_.resize(trace::kReplayChunk);
-        returns_.resize(trace::kReplayChunk);
-        returnMisses_.resize(trace::kReplayChunk + 1);
+    if (predicted_.size() < n) {
+        predicted_.resize(n);
+        returns_.resize(n);
+        returnMisses_.resize(n + 1);
     }
     span_ = span;
     size_ = n;
@@ -165,8 +161,7 @@ ReplayPlan::build(const trace::BranchRecord *span, std::size_t n)
         predicted[np] = i;
         np += record.multiTarget & jmp_or_jsr;
         events[ne] = i;
-        ne += useRas_ & ((kind == trace::BranchKind::Return) |
-                         record.call);
+        ne += (kind == trace::BranchKind::Return) | record.call;
     }
     predictedCount_ = np;
 
@@ -208,8 +203,7 @@ ReplayPlan::returnsFrom(std::size_t from) const
 }
 
 ReplaySession::ReplaySession(const EngineConfig &config)
-    : config_(config), ras_(config.rasDepth),
-      sampler_(config.timeline), plan_(config)
+    : config_(config), sampler_(config.timeline)
 {
 }
 
@@ -218,6 +212,9 @@ ReplaySession::run(trace::BranchSource &source,
                    pred::IndirectPredictor &predictor,
                    std::uint64_t limit)
 {
+    ReplayRow row(config_, metrics_.branches);
+    row.ras() = ras_;
+    row.addColumn(predictor, *this);
     std::uint64_t consumed = 0;
     while (consumed < limit) {
         const trace::BranchRecord *span = nullptr;
@@ -228,34 +225,9 @@ ReplaySession::run(trace::BranchSource &source,
             break;
         }
         consumed += n;
-        feed(span, n, predictor);
+        row.feed(span, n);
     }
     return consumed;
-}
-
-void
-ReplaySession::feed(const trace::BranchRecord *span, std::size_t n,
-                    pred::IndirectPredictor &predictor)
-{
-    // Plan in chunks cut at timeline boundaries.  Boundaries are
-    // absolute record counts, so the windows are identical however the
-    // trace is sliced into spans, bounded runs or checkpoint/resume
-    // cycles.  The plan's RAS carries on from the session's, chunk to
-    // chunk.
-    plan_.ras() = ras_;
-    withHotType(predictor, [&](auto &concrete) {
-        for (std::size_t off = 0; off < n;) {
-            const std::uint64_t boundary = nextBoundary();
-            const auto len = static_cast<std::size_t>(
-                std::min<std::uint64_t>({n - off, trace::kReplayChunk,
-                                         boundary - metrics_.branches}));
-            plan_.build(span + off, len);
-            replayPlanned(plan_, 0, config_.perSiteStats, concrete,
-                          metrics_);
-            closePlan(plan_, 0, boundary, predictor);
-            off += len;
-        }
-    });
 }
 
 void
@@ -263,26 +235,13 @@ ReplaySession::feed(const ReplayPlan &plan, std::size_t from,
                     pred::IndirectPredictor &predictor)
 {
     panic_if(from > plan.size(), "replay plan offset past its chunk");
-    const std::uint64_t boundary = nextBoundary();
+    const std::uint64_t boundary =
+        sampler_.enabled() ? sampler_.nextBoundary(metrics_.branches)
+                           : kNoLimit;
     withHotType(predictor, [&](auto &concrete) {
         replayPlanned(plan, from, config_.perSiteStats, concrete,
                       metrics_);
     });
-    closePlan(plan, from, boundary, predictor);
-}
-
-std::uint64_t
-ReplaySession::nextBoundary() const
-{
-    return sampler_.enabled() ? sampler_.nextBoundary(metrics_.branches)
-                              : kNoLimit;
-}
-
-void
-ReplaySession::closePlan(const ReplayPlan &plan, std::size_t from,
-                         std::uint64_t boundary,
-                         const pred::IndirectPredictor &predictor)
-{
     ras_ = plan.ras();
     metrics_.returnMisses.merge(plan.returnsFrom(from));
     panic_if(metrics_.branches > boundary,
@@ -359,6 +318,51 @@ void
 ReplaySession::loadProbes(util::StateReader &reader)
 {
     ras_.loadProbes(reader);
+}
+
+void
+ReplayRow::addColumn(pred::IndirectPredictor &predictor,
+                     ReplaySession &session)
+{
+    panic_if(session.metrics().branches < position_,
+             "replay column starts before its row");
+    columns_.push_back(Column{&predictor, &session});
+}
+
+void
+ReplayRow::feed(const trace::BranchRecord *span, std::size_t n)
+{
+    for (std::size_t off = 0; off < n;) {
+        std::uint64_t end = position_ + std::min<std::uint64_t>(
+                                            n - off, trace::kReplayChunk);
+        if (window_ > 0)
+            end = std::min(end, (position_ / window_ + 1) * window_);
+        const auto len = static_cast<std::size_t>(end - position_);
+        // One clock reading ends each interval and starts the next.
+        double wall = obs::wallSeconds();
+        plan_.build(span + off, len);
+        double now = obs::wallSeconds();
+        planSeconds_ += now - wall;
+        wall = now;
+        double cpu = obs::threadCpuSeconds();
+        for (Column &column : columns_) {
+            const std::uint64_t cursor = column.session->metrics().branches;
+            if (cursor >= end)
+                continue; // resumed ahead of this chunk
+            column.session->feed(
+                plan_, static_cast<std::size_t>(
+                           std::max(position_, cursor) - position_),
+                *column.predictor);
+            now = obs::threadCpuSeconds();
+            column.cpu += now - cpu;
+            cpu = now;
+            now = obs::wallSeconds();
+            column.wall += now - wall;
+            wall = now;
+        }
+        position_ = end;
+        off += len;
+    }
 }
 
 } // namespace ibp::sim

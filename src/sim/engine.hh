@@ -28,11 +28,12 @@
 
 namespace ibp::sim {
 
-/** Engine options. */
+/**
+ * Engine options.  Returns always go to one 16-entry RAS (the
+ * pred::ReturnAddressStack default), outside every predictor.
+ */
 struct EngineConfig
 {
-    bool useRas = true;        ///< predict returns with a RAS
-    std::size_t rasDepth = 16;
     bool perSiteStats = false; ///< collect the per-site breakdown
 
     /**
@@ -50,7 +51,7 @@ struct EngineConfig
  * the offsets of its predicted (MT jmp/jsr) records, the outcomes of
  * one RAS over its returns, and that RAS's state after the chunk.
  * Neither the classification nor the RAS depends on the predictor, so
- * a suite row builds one plan per chunk and every column replays from
+ * a ReplayRow builds one plan per chunk and every column replays from
  * it (ReplaySession::feed(plan, from, ...)) instead of re-walking the
  * records, re-branching on their kinds and re-running the same RAS.
  *
@@ -63,13 +64,11 @@ struct EngineConfig
 class ReplayPlan
 {
   public:
-    explicit ReplayPlan(const EngineConfig &config = {});
-
     /**
      * Classify @p span[0, n) (n <= trace::kReplayChunk) and advance the
      * plan's RAS over it.  The span must outlive every feed() of this
-     * plan.  The offset buffers are allocated by the first build and
-     * reused by every later one.
+     * plan.  The offset buffers grow to the longest chunk built and are
+     * reused by every later build.
      */
     void build(const trace::BranchRecord *span, std::size_t n);
 
@@ -92,7 +91,6 @@ class ReplayPlan
     pred::ReturnAddressStack &ras() { return ras_; }
 
   private:
-    bool useRas_;
     pred::ReturnAddressStack ras_;
     const trace::BranchRecord *span_ = nullptr;
     std::size_t size_ = 0;
@@ -135,11 +133,10 @@ class Engine
  *
  * Every replay goes through one loop over a ReplayPlan, dispatched once
  * per feed() to an instantiation templated on the concrete predictor
- * type.  A suite row hands every column its shared per-chunk plan;
- * feeding a bare span plans it here, in chunks of at most
- * trace::kReplayChunk records cut at timeline boundaries.  Feeding a
- * trace in spans of any size is bit-identical to feeding it whole: the
- * loop carries no cross-span state beyond the RAS, metrics and
+ * type.  The plans come from a ReplayRow: a suite row's or a lineup's,
+ * shared by every column, or the one-column row run() drives.  Feeding
+ * a trace in spans of any size is bit-identical to feeding it whole:
+ * the loop carries no cross-span state beyond the RAS, metrics and
  * predictor.  Checkpoints land between full records — nothing stops
  * mid-record — which is what makes the predictors' transient
  * predict->update slots serializable.
@@ -155,8 +152,9 @@ class ReplaySession
     /**
      * Replay up to @p limit records from @p source (kNoLimit = until
      * exhaustion) with @p predictor, accumulating into this session's
-     * metrics, one nextSpan() run at a time.  Reaching the end of the
-     * source calls finish().
+     * metrics: one nextSpan() run at a time through a one-column
+     * ReplayRow that starts at this session's record count and RAS.
+     * Reaching the end of the source calls finish().
      * @return records consumed by this call; less than @p limit means
      *         the source is exhausted.
      */
@@ -165,19 +163,12 @@ class ReplaySession
                       std::uint64_t limit = kNoLimit);
 
     /**
-     * Replay @p n records through @p predictor, closing a timeline
-     * window at every sampling boundary inside the span.
-     */
-    void feed(const trace::BranchRecord *span, std::size_t n,
-              pred::IndirectPredictor &predictor);
-
-    /**
      * Replay @p plan's records [from, plan.size()) through
      * @p predictor, then take the plan's RAS state and the suffix's
      * return outcomes.  The plan must have been built from the RAS
-     * state this session holds at record @p from (a suite row's plan
-     * is, for every column of the row), and must not cross a timeline
-     * boundary except at its end.
+     * state this session holds at record @p from (a row's plan is, for
+     * every column of the row), and must not cross a timeline boundary
+     * except at its end.
      */
     void feed(const ReplayPlan &plan, std::size_t from,
               pred::IndirectPredictor &predictor);
@@ -223,18 +214,6 @@ class ReplaySession
     void loadProbes(util::StateReader &reader);
 
   private:
-    /** The next timeline boundary (kNoLimit when sampling is off). */
-    std::uint64_t nextBoundary() const;
-
-    /**
-     * Finish a plan replayed from @p from: take its RAS and the
-     * suffix's return outcomes, and close the window at @p boundary
-     * if the replay reached it.
-     */
-    void closePlan(const ReplayPlan &plan, std::size_t from,
-                   std::uint64_t boundary,
-                   const pred::IndirectPredictor &predictor);
-
     /** Close the timeline window ending at the current position. */
     void sampleTimeline(const pred::IndirectPredictor &predictor);
 
@@ -242,7 +221,75 @@ class ReplaySession
     pred::ReturnAddressStack ras_;
     RunMetrics metrics_;
     obs::TimelineSampler sampler_;
-    ReplayPlan plan_; ///< plans bare spans; buffers allocated on use
+};
+
+/**
+ * The one chunk loop: a trace replayed through a lineup of columns
+ * (suite rows, lineups and ReplaySession::run()'s single column).
+ * feed() cuts the trace at trace::kReplayChunk records and at absolute
+ * multiples of the timeline interval, builds one ReplayPlan per chunk
+ * and replays each column from its own cursor, its session's record
+ * count, so a column resumed from a snapshot skips the chunks and the
+ * part of a chunk it already replayed.  The row times the plan pass
+ * and each column's replay.
+ */
+class ReplayRow
+{
+  public:
+    /** A row at record @p position with an empty RAS (see ras()). */
+    explicit ReplayRow(const EngineConfig &config = {},
+                       std::uint64_t position = 0)
+        : window_(config.timeline.interval), position_(position)
+    {
+    }
+
+    /**
+     * Add a column replaying @p predictor into @p session (configured
+     * like the row) from the session's record count on, which must be
+     * at least position().  Both must outlive the row.  Columns are
+     * numbered in the order they are added.
+     */
+    void addColumn(pred::IndirectPredictor &predictor,
+                   ReplaySession &session);
+
+    /** Replay the trace's next @p n records through every column. */
+    void feed(const trace::BranchRecord *span, std::size_t n);
+
+    /** Close every column's final partial timeline window. */
+    void
+    finish()
+    {
+        for (Column &column : columns_)
+            column.session->finish(*column.predictor);
+    }
+
+    /** Records of the trace fed so far, counted from record 0. */
+    std::uint64_t position() const { return position_; }
+
+    /** The RAS after the records fed so far. */
+    pred::ReturnAddressStack &ras() { return plan_.ras(); }
+
+    /** Wall seconds spent building plans. */
+    double planSeconds() const { return planSeconds_; }
+
+    /** Wall and thread-CPU seconds column @p c spent replaying. */
+    double wallSeconds(std::size_t c) const { return columns_[c].wall; }
+    double cpuSeconds(std::size_t c) const { return columns_[c].cpu; }
+
+  private:
+    struct Column
+    {
+        pred::IndirectPredictor *predictor;
+        ReplaySession *session;
+        double wall = 0;
+        double cpu = 0;
+    };
+
+    std::uint64_t window_; ///< timeline interval, 0 when sampling is off
+    std::uint64_t position_;
+    ReplayPlan plan_;
+    std::vector<Column> columns_;
+    double planSeconds_ = 0;
 };
 
 } // namespace ibp::sim

@@ -284,17 +284,6 @@ traceCacheMisses()
     return traceCache().misses();
 }
 
-RunMetrics
-runOne(const workload::BenchmarkProfile &profile,
-       const std::string &predictor_name, const SuiteOptions &options)
-{
-    trace::TraceBuffer buffer =
-        generateTrace(profile, options.traceScale);
-    auto predictor = makePredictor(predictor_name, options.factory);
-    Engine engine(options.engine);
-    return engine.run(buffer, *predictor);
-}
-
 namespace {
 
 CellResult
@@ -412,8 +401,6 @@ struct Column
     std::unique_ptr<pred::IndirectPredictor> predictor;
     ReplaySession session;
     PartialCell snapshot; ///< latest mid-row snapshot, if any
-    double wallSeconds = 0;
-    double cpuSeconds = 0;
 };
 
 /** What a row task hands back to the collecting thread, per column. */
@@ -426,13 +413,6 @@ struct RowOutput
     double planSeconds = 0;
     double cpuSeconds = 0; ///< whole task: generation + replay
 };
-
-/** Records a column has replayed so far. */
-std::uint64_t
-cursorOf(const Column &column)
-{
-    return column.session.metrics().branches;
-}
 
 /**
  * Build a factory-fresh column, continuing from @p partial when it is
@@ -451,7 +431,7 @@ makeColumn(std::size_t index, const std::string &name,
     if (partial->cursor <= records &&
         restorePartialCell(*partial, *column.predictor,
                            column.session) &&
-        cursorOf(column) == partial->cursor) {
+        column.session.metrics().branches == partial->cursor) {
         // Mid-replay resume: the prefix was consumed by the
         // interrupted run; its effects live in the restored state.
         column.snapshot = *partial;
@@ -463,17 +443,14 @@ makeColumn(std::size_t index, const std::string &name,
 }
 
 /**
- * One row task: run the row's walker and feed its trace, one replay
- * chunk at a time, to every column not already finished in @p resume,
- * each from its own cursor.  No whole-row trace is ever held: the
- * walker refills one kReplayChunk-record scratch span per chunk.  Each
- * chunk is planned once for the whole row (its predicted offsets and
- * the row's one RAS; see ReplayPlan), and every column replays from
- * that plan.  Chunks end at every multiple of checkpointEvery (with a
- * progress file) and of the timeline interval, so snapshots and
- * window closes land between plans.  With a progress file, every
- * in-flight column is snapshotted at each multiple of checkpointEvery
- * records and the finished cells are recorded when the row completes.
+ * One row task: run the row's walker and feed its trace, one
+ * kReplayChunk-record scratch span at a time, to a ReplayRow whose
+ * columns are the predictors not already finished in @p resume, each
+ * replaying from its own cursor.  No whole-row trace is ever held.
+ * Spans end at every multiple of checkpointEvery (with a progress
+ * file), so snapshots land between plans; there every in-flight column
+ * is snapshotted, and the finished cells are recorded when the row
+ * completes.
  */
 RowOutput
 runRow(const workload::BenchmarkProfile &profile,
@@ -523,50 +500,34 @@ runRow(const workload::BenchmarkProfile &profile,
     // The walker always starts at record 0: the prefix a resumed
     // column already consumed is regenerated but not fed to it again.
     std::uint64_t resumed_at = total;
-    for (const auto &column : columns)
-        resumed_at = std::min(resumed_at, cursorOf(column));
+    ReplayRow row(options.engine);
+    for (auto &column : columns) {
+        resumed_at = std::min(resumed_at, column.session.metrics().branches);
+        row.addColumn(*column.predictor, column.session);
+    }
     const std::uint64_t every =
         progress != nullptr ? options.checkpointEvery : 0;
-    const std::uint64_t window = options.engine.timeline.interval;
     std::vector<trace::BranchRecord> chunk(trace::kReplayChunk);
-    ReplayPlan plan(options.engine);
-    std::uint64_t pos = 0;
-    while (pos < total) {
+    while (row.position() < total) {
+        const std::uint64_t pos = row.position();
         std::uint64_t end = std::min<std::uint64_t>(
             total, pos + trace::kReplayChunk);
-        for (const std::uint64_t cadence : {every, window})
-            if (cadence > 0)
-                end = std::min(end, (pos / cadence + 1) * cadence);
+        if (every > 0)
+            end = std::min(end, (pos / every + 1) * every);
         const auto n = static_cast<std::size_t>(end - pos);
         const double gen_start = obs::wallSeconds();
         program.fill(chunk.data(), n);
-        const double plan_start = obs::wallSeconds();
-        output.genSeconds += plan_start - gen_start;
-        plan.build(chunk.data(), n);
-        output.planSeconds += secondsSince(plan_start);
-        for (auto &column : columns) {
-            const std::uint64_t cursor = cursorOf(column);
-            if (cursor >= end)
-                continue; // resumed ahead of this chunk
-            const std::uint64_t from = std::max(pos, cursor);
-            const double feed_wall = obs::wallSeconds();
-            const double feed_cpu = obs::threadCpuSeconds();
-            column.session.feed(plan,
-                                static_cast<std::size_t>(from - pos),
-                                *column.predictor);
-            column.cpuSeconds += obs::threadCpuSeconds() - feed_cpu;
-            column.wallSeconds += secondsSince(feed_wall);
-        }
-        pos = end;
+        output.genSeconds += secondsSince(gen_start);
+        row.feed(chunk.data(), n);
         // Snapshots taken inside the regenerated prefix would only
         // rewrite the ones the resume started from.
-        if (every > 0 && pos % every == 0 && pos > resumed_at &&
-            pos < total) {
+        if (every > 0 && end % every == 0 && end > resumed_at &&
+            end < total) {
             std::vector<PartialCell> partials;
             for (auto &column : columns) {
-                if (cursorOf(column) == pos)
+                if (column.session.metrics().branches == end)
                     column.snapshot = capturePartialCell(
-                        row_name, predictor_names[column.index], pos,
+                        row_name, predictor_names[column.index], end,
                         *column.predictor, column.session);
                 if (column.snapshot.valid)
                     partials.push_back(column.snapshot);
@@ -574,18 +535,20 @@ runRow(const workload::BenchmarkProfile &profile,
             progress->snapshot(row_name, std::move(partials));
         }
     }
+    row.finish();
+    output.planSeconds = row.planSeconds();
     row_span.addNumber("tracegen_s", output.genSeconds);
     row_span.addNumber("plan_s", output.planSeconds);
 
     std::vector<CompletedCell> finished;
-    for (auto &column : columns) {
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        Column &column = columns[i];
         const std::size_t c = column.index;
-        column.session.finish(*column.predictor);
         column.session.snapshotProbes(output.probes[c],
                                       *column.predictor);
         output.cells[c] = cellFromMetrics(column.session.metrics());
-        output.cells[c].wallSeconds = column.wallSeconds;
-        output.cells[c].cpuSeconds = column.cpuSeconds;
+        output.cells[c].wallSeconds = row.wallSeconds(i);
+        output.cells[c].cpuSeconds = row.cpuSeconds(i);
         output.timelines[c] = column.session.takeTimeline();
         if (progress != nullptr)
             finished.push_back(CompletedCell{

@@ -10,11 +10,12 @@
  * One scheduler runs every suite: one task per benchmark row on a
  * ThreadPool (a pool of one when SuiteOptions::threads == 1).  Each
  * task streams its row's trace from a private workload walker: the
- * walker fills one trace::kReplayChunk-record scratch span at a time,
- * the chunk is planned once (predicted offsets and the row's RAS; see
- * ReplayPlan), and the plan is fed to one factory-fresh predictor and
- * ReplaySession per column before the next chunk is generated, so no
- * row ever holds its whole trace.  Rows share no simulation state and are
+ * walker fills one trace::kReplayChunk-record scratch span at a time
+ * and hands it to a ReplayRow, which plans the chunk once (predicted
+ * offsets and the row's RAS; see ReplayPlan) and replays it through one
+ * factory-fresh predictor and ReplaySession per column before the next
+ * chunk is generated, so no row ever holds its whole trace.  Rows share
+ * no simulation state and are
  * collected in row order, so the matrix, probes and timelines do not
  * depend on scheduling or thread count (enforced by
  * tests/test_parallel_suite.cc and the golden fixtures in
@@ -201,16 +202,11 @@ void setTraceCacheCapacity(std::size_t max_entries);
 std::uint64_t traceCacheHits();
 std::uint64_t traceCacheMisses();
 
-/** Run one profile x one predictor; returns the full metrics. */
-RunMetrics runOne(const workload::BenchmarkProfile &profile,
-                  const std::string &predictor_name,
-                  const SuiteOptions &options = {});
-
 /**
  * Run the full matrix: one task per benchmark row on a ThreadPool of
  * SuiteOptions::threads workers (0 = hardware concurrency), each
  * streaming its row's trace from the walker in kReplayChunk-record
- * chunks and feeding every chunk to each unfinished predictor column,
+ * chunks through one ReplayRow of the unfinished predictor columns,
  * with the checkpoint/resume behaviour SuiteOptions describes.  A
  * column resumed from a mid-row snapshot skips the chunks (and the
  * part of a chunk) before its cursor; the walker still regenerates

@@ -42,14 +42,6 @@ isIndirect(BranchKind kind)
            kind == BranchKind::Return;
 }
 
-/** True for the kinds that can push a return address. */
-constexpr bool
-mayCall(BranchKind kind)
-{
-    return kind == BranchKind::IndirectCall ||
-           kind == BranchKind::UncondDirect;
-}
-
 /**
  * One executed branch.
  *

@@ -167,18 +167,6 @@ TEST(Engine, RasMissOnUnbalancedReturn)
     EXPECT_EQ(metrics.returnMisses.events(), 1u);
 }
 
-TEST(Engine, RasDisabled)
-{
-    TraceBuffer buf;
-    buf.push(make(BranchKind::Return, 0x300, 0x204));
-    ProbePredictor probe;
-    EngineConfig config;
-    config.useRas = false;
-    Engine engine(config);
-    const RunMetrics metrics = engine.run(buf, probe);
-    EXPECT_EQ(metrics.returnMisses.total(), 0u);
-}
-
 TEST(Engine, PerSiteStats)
 {
     TraceBuffer buf;

@@ -73,7 +73,9 @@ TEST(Experiment, StreamedTraceContainerBytesArePinned)
 TEST(Experiment, RunOneProducesMetrics)
 {
     const auto suite = tinySuite();
-    const RunMetrics metrics = runOne(suite[0], "BTB");
+    auto trace = generateTrace(suite[0]);
+    auto predictor = makePredictor("BTB");
+    const RunMetrics metrics = Engine().run(trace, *predictor);
     EXPECT_GT(metrics.mtIndirect, 1000u);
     EXPECT_GT(metrics.branches, metrics.mtIndirect);
     EXPECT_GE(metrics.missPercent(), 0.0);

@@ -61,7 +61,7 @@ TEST(FatalPaths, ReplayPlanMisusePanics)
 {
     // A plan holds at most one replay chunk, a column joins it at an
     // offset inside it, and a session's plan may not run past a
-    // timeline boundary (suite rows cut their chunks there).
+    // timeline boundary (rows cut their chunks there).
     std::vector<ibp::trace::BranchRecord> records(
         ibp::trace::kReplayChunk + 1);
     ibp::sim::ReplayPlan plan;
@@ -75,6 +75,11 @@ TEST(FatalPaths, ReplayPlanMisusePanics)
     config.timeline.interval = 64;
     EXPECT_DEATH(ibp::sim::ReplaySession(config).feed(plan, 0, *predictor),
                  "crosses a timeline boundary");
+    // A row's columns replay from its position on, never before it.
+    ibp::sim::ReplaySession behind;
+    ibp::sim::ReplayRow row({}, 10);
+    EXPECT_DEATH(row.addColumn(*predictor, behind),
+                 "starts before its row");
 }
 
 TEST(FatalPaths, SatCounterWidthZeroPanics)

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "trace/trace_io.hh"
 #include "workload/profiles.hh"
@@ -28,6 +30,17 @@ fastOptions()
     return options;
 }
 
+/** Miss% of @p better and @p worse over @p profile, as one suite row. */
+std::pair<double, double>
+missPair(const BenchmarkProfile &profile, const std::string &better,
+         const std::string &worse)
+{
+    const SuiteResult result =
+        runSuite({profile}, {better, worse}, fastOptions());
+    return {result.cells[0][0].missPercent,
+            result.cells[0][1].missPercent};
+}
+
 const BenchmarkProfile &
 profileNamed(const std::vector<BenchmarkProfile> &suite,
              const char *name)
@@ -41,11 +54,8 @@ TEST(Integration, PathPredictorsBeatBtbOnCorrelatedProfiles)
 {
     const auto suite = ibp::workload::standardSuite();
     for (const char *name : {"perl", "photon", "troff.ped"}) {
-        const auto &profile = profileNamed(suite, name);
-        const double btb =
-            runOne(profile, "BTB", fastOptions()).missPercent();
-        const double ppm =
-            runOne(profile, "PPM-hyb", fastOptions()).missPercent();
+        const auto [ppm, btb] =
+            missPair(profileNamed(suite, name), "PPM-hyb", "BTB");
         EXPECT_LT(ppm, btb * 0.7) << name;
     }
 }
@@ -55,28 +65,29 @@ TEST(Integration, PibOnlyWinsOnEon)
     // eon is built strongly PIB-correlated; the paper reports PPM-PIB
     // ahead of PPM-hyb there.
     const auto suite = ibp::workload::standardSuite();
-    const auto &eon = profileNamed(suite, "eon");
-    const double hyb =
-        runOne(eon, "PPM-hyb", fastOptions()).missPercent();
-    const double pib =
-        runOne(eon, "PPM-PIB", fastOptions()).missPercent();
+    const auto [pib, hyb] =
+        missPair(profileNamed(suite, "eon"), "PPM-PIB", "PPM-hyb");
     EXPECT_LE(pib, hyb * 1.1);
 }
 
 TEST(Integration, PhotonIsNearlyPerfectlyPredictable)
 {
     const auto suite = ibp::workload::standardSuite();
-    const auto &photon = profileNamed(suite, "photon");
     const double oracle =
-        runOne(photon, "Oracle-PIB@8", fastOptions()).missPercent();
+        runSuite({profileNamed(suite, "photon")}, {"Oracle-PIB@8"},
+                 fastOptions())
+            .cells[0][0]
+            .missPercent;
     // Paper: a path-length-8 PIB oracle reaches ~99.1% accuracy.
     EXPECT_LT(oracle, 3.0);
 }
 
 TEST(Integration, RasNailsReturns)
 {
-    const auto profile = ibp::workload::smokeProfile();
-    const RunMetrics metrics = runOne(profile, "BTB");
+    ibp::trace::TraceBuffer trace =
+        generateTrace(ibp::workload::smokeProfile());
+    auto predictor = makePredictor("BTB");
+    const RunMetrics metrics = Engine().run(trace, *predictor);
     EXPECT_GT(metrics.returnMisses.total(), 100u);
     EXPECT_LT(metrics.returnMisses.percent(), 1.0);
 }
@@ -129,11 +140,8 @@ TEST(Integration, MonomorphicHeavyProfileFavoursFiltering)
     // eqn is built to reward the Cascade filter; the gap between
     // Cascade and the plain two-level GAp must be visible.
     const auto suite = ibp::workload::standardSuite();
-    const auto &eqn = profileNamed(suite, "eqn");
-    const double cascade =
-        runOne(eqn, "Cascade", fastOptions()).missPercent();
-    const double gap =
-        runOne(eqn, "GAp", fastOptions()).missPercent();
+    const auto [cascade, gap] =
+        missPair(profileNamed(suite, "eqn"), "Cascade", "GAp");
     EXPECT_LT(cascade, gap);
 }
 

@@ -178,11 +178,10 @@ probeBytes(const ibp::pred::IndirectPredictor &predictor)
  */
 RunMetrics
 splitReplay(const ibp::trace::TraceBuffer &trace,
-            ibp::pred::IndirectPredictor &predictor,
-            const EngineConfig &config)
+            ibp::pred::IndirectPredictor &predictor)
 {
     RunMetrics metrics;
-    ibp::pred::ReturnAddressStack ras(config.rasDepth);
+    ibp::pred::ReturnAddressStack ras;
     const bool observes = predictor.wantsObserve();
     for (const ibp::trace::BranchRecord &record : trace.records()) {
         ++metrics.branches;
@@ -193,14 +192,13 @@ splitReplay(const ibp::trace::TraceBuffer &trace,
             const bool miss = !prediction.hit(record.target);
             metrics.indirectMisses.sample(miss);
             metrics.noPrediction.sample(!prediction.valid);
-        } else if (record.kind == ibp::trace::BranchKind::Return &&
-                   config.useRas) {
+        } else if (record.kind == ibp::trace::BranchKind::Return) {
             ibp::trace::Addr predicted = 0;
             const bool got = ras.pop(predicted);
             metrics.returnMisses.sample(!got ||
                                         predicted != record.target);
         }
-        if (record.call && config.useRas)
+        if (record.call)
             ras.push(record.pc + 4);
         if (observes)
             predictor.observe(record);
@@ -221,7 +219,6 @@ TEST(FusedRegressionProfiles, EngineFastPathsMatchSplitReplay)
         "BTB",   "BTB2b",   "GAp",          "TC-PIB", "PPM-hyb",
         "Dpath", "Cascade", "Filtered-PPM", "ITTAGE", "Perceptron",
     };
-    const EngineConfig config;
     for (const fs::path &path : paths) {
         const BenchmarkProfile profile =
             ibp::workload::loadProfileFile(path.string());
@@ -230,11 +227,10 @@ TEST(FusedRegressionProfiles, EngineFastPathsMatchSplitReplay)
             auto fused = makePredictor(name);
             auto split = makePredictor(name);
 
-            Engine engine(config);
+            Engine engine;
             ibp::trace::ReplaySource source(trace);
             const RunMetrics via_engine = engine.run(source, *fused);
-            const RunMetrics reference =
-                splitReplay(trace, *split, config);
+            const RunMetrics reference = splitReplay(trace, *split);
 
             const std::string label =
                 name + " over " + path.stem().string();

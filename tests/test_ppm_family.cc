@@ -65,7 +65,9 @@ replay(pred::IndirectPredictor &predictor,
        const std::vector<trace::BranchRecord> &records)
 {
     sim::ReplaySession session;
-    session.feed(records.data(), records.size(), predictor);
+    sim::ReplayRow row;
+    row.addColumn(predictor, session);
+    row.feed(records.data(), records.size());
     util::StateWriter writer;
     predictor.saveState(writer);
     return {fnv1a(writer.bytes()),

@@ -135,10 +135,10 @@ TEST(PpmPolicies, VotingCostsCapacityAtEqualBudget)
     ASSERT_NE(gcc, nullptr);
     ibp::sim::SuiteOptions options;
     options.traceScale = 0.1;
-    const double single =
-        ibp::sim::runOne(*gcc, "PPM-hyb", options).missPercent();
-    const double vote4 =
-        ibp::sim::runOne(*gcc, "PPM-vote4", options).missPercent();
+    const auto result =
+        ibp::sim::runSuite({*gcc}, {"PPM-hyb", "PPM-vote4"}, options);
+    const double single = result.cells[0][0].missPercent;
+    const double vote4 = result.cells[0][1].missPercent;
     EXPECT_LT(single, vote4 * 1.5);
 }
 

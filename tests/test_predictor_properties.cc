@@ -319,7 +319,9 @@ TEST_P(PredictorPropertyTest, ResetRestoresColdStateBytes)
     }();
     auto used = makePredictor(GetParam());
     ReplaySession session;
-    session.feed(perl.data(), perl.size(), *used);
+    ibp::sim::ReplayRow row;
+    row.addColumn(*used, session);
+    row.feed(perl.data(), perl.size());
     ASSERT_GT(session.metrics().mtIndirect, 0u);
     used->reset();
     EXPECT_EQ(stateBytes(*used), stateBytes(*makePredictor(GetParam())))

@@ -12,9 +12,10 @@
  * timeline window at every interval multiple.  Every test compares
  * RunMetrics, timelines and the saveState()/saveProbes() bytes of
  * sessions and predictors against that reference, over chunkings that
- * straddle trace::kReplayChunk, with the RAS off, with per-site stats
- * on, with timeline windows that do not divide the chunk, and for
- * columns that join a suite row's plan mid-chunk.
+ * straddle trace::kReplayChunk, with per-site stats on, with timeline
+ * windows that do not divide the chunk, and for the columns of one
+ * ReplayRow resumed at different cursors, mid-chunk and on a window
+ * boundary.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 #include "workload/profiles.hh"
 #include "predictors/ras.hh"
 #include "sim/checkpoint.hh"
+#include "sim/differential.hh"
 #include "sim/engine.hh"
 #include "sim/experiment.hh"
 #include "sim/factory.hh"
@@ -81,8 +83,7 @@ class ReferenceSession
 {
   public:
     explicit ReferenceSession(const EngineConfig &config)
-        : config_(config), ras_(config.rasDepth),
-          sampler_(config.timeline)
+        : config_(config), sampler_(config.timeline)
     {
     }
 
@@ -141,14 +142,13 @@ class ReferenceSession
                 site.misses.sample(miss);
                 site.lastTarget = record.target;
             }
-        } else if (record.kind == trace::BranchKind::Return &&
-                   config_.useRas) {
+        } else if (record.kind == trace::BranchKind::Return) {
             trace::Addr predicted = 0;
             const bool got = ras_.pop(predicted);
             metrics_.returnMisses.sample(!got ||
                                          predicted != record.target);
         }
-        if (record.call && config_.useRas)
+        if (record.call)
             ras_.push(record.pc + 4);
         if (predictor.wantsObserve())
             predictor.observe(record);
@@ -249,9 +249,8 @@ expectMatches(const Reference &want, const ReplaySession &session,
     EXPECT_EQ(a.noPrediction.events(), b.noPrediction.events()) << label;
     EXPECT_EQ(a.returnMisses.events(), b.returnMisses.events()) << label;
     EXPECT_EQ(a.returnMisses.total(), b.returnMisses.total()) << label;
-    // The shared trace's redirected returns miss whenever the RAS runs.
-    EXPECT_EQ(b.returnMisses.events() > 0, b.returnMisses.total() > 0)
-        << label;
+    // The shared trace's redirected returns miss.
+    EXPECT_GT(b.returnMisses.events(), 0u) << label;
     EXPECT_EQ(a.perSite.size(), b.perSite.size()) << label;
     EXPECT_EQ(want.session->stateBytes(), sessionState(session)) << label;
     EXPECT_EQ(want.session->probeBytes(), sessionProbes(session))
@@ -263,24 +262,24 @@ expectMatches(const Reference &want, const ReplaySession &session,
         << label;
 }
 
-/** Feed the shared trace through feed(span) in @p chunk-record spans. */
+/**
+ * Replay the shared trace through bounded run()s of @p chunk records,
+ * each a one-column row that starts where the last one stopped.
+ */
 void
 expectChunkedMatches(const EngineConfig &config,
                      const std::vector<std::string> &names,
                      const std::vector<std::size_t> &chunkings,
                      const std::string &what)
 {
-    const auto &records = sharedTrace().records();
     for (const auto &name : names) {
         const Reference want = referenceRun(name, config);
         for (std::size_t chunk : chunkings) {
             auto predictor = makePredictor(name);
             ReplaySession session(config);
-            for (std::size_t off = 0; off < records.size(); off += chunk)
-                session.feed(records.data() + off,
-                             std::min(chunk, records.size() - off),
-                             *predictor);
-            session.finish(*predictor);
+            trace::TraceBuffer source = sharedTrace();
+            while (session.run(source, *predictor, chunk) == chunk) {
+            }
             expectMatches(want, session, *predictor,
                           what + ", " + name + ", chunk " +
                               std::to_string(chunk));
@@ -292,13 +291,6 @@ TEST(ReplayPlan, ChunkingsMatchThePerRecordReference)
 {
     expectChunkedMatches({}, allPredictors(), {1, 7, 4095, 4096, 4097},
                          "defaults");
-}
-
-TEST(ReplayPlan, RasOffMatchesThePerRecordReference)
-{
-    EngineConfig config;
-    config.useRas = false;
-    expectChunkedMatches(config, kLineup, {7, 4097}, "useRas off");
 }
 
 TEST(ReplayPlan, PerSiteStatsMatchThePerRecordReference)
@@ -324,67 +316,81 @@ TEST(ReplayPlan, TimelineWindowsOffTheChunkMatchThePerRecordReference)
 TEST(ReplayPlan, ColumnsJoinARowPlanMidChunk)
 {
     // A suite row's shape: one plan per chunk, chunks cut at window
-    // multiples, and columns restored from snapshots at 4500 and 6000
-    // joining the row's plans mid-chunk next to one that starts at 0.
+    // multiples, and columns restored from snapshots joining the row
+    // next to one that starts at 0: at 4500 (inside the second
+    // 4096-record chunk), at 6000 (inside the chunk [4096, 7000) that
+    // ends at a window) and at 7000 (on the window boundary, where a
+    // chunk starts).  The row is fed in spans that are shorter than,
+    // equal to and longer than a chunk.
     constexpr std::uint64_t kWindow = 7000;
     EngineConfig config;
     config.timeline.interval = kWindow;
     config.timeline.sampleProbes = true;
     const auto &records = sharedTrace().records();
-    const std::vector<std::uint64_t> cursors = {0, 4500, 6000};
+    const std::vector<std::uint64_t> cursors = {0, 4500, 6000, 7000};
 
     for (const auto &name : kLineup) {
         const Reference want = referenceRun(name, config);
-        struct Column
-        {
-            std::unique_ptr<pred::IndirectPredictor> predictor;
-            std::unique_ptr<ReplaySession> session;
-            std::uint64_t cursor;
-        };
-        std::vector<Column> columns;
-        for (std::uint64_t cursor : cursors) {
-            Column column{makePredictor(name),
-                          std::make_unique<ReplaySession>(config),
-                          cursor};
-            if (cursor > 0) {
-                auto donor = makePredictor(name);
-                ReplaySession donor_session(config);
-                donor_session.feed(records.data(), cursor, *donor);
-                const PartialCell partial = capturePartialCell(
-                    "row", name, cursor, *donor, donor_session);
-                ASSERT_TRUE(restorePartialCell(
-                    partial, *column.predictor, *column.session));
+        for (std::size_t span : {1u, 7u, 4095u, 4096u, 4097u}) {
+            const std::string label =
+                name + ", span " + std::to_string(span);
+            std::vector<std::unique_ptr<pred::IndirectPredictor>>
+                predictors;
+            std::vector<ReplaySession> sessions(cursors.size(),
+                                                ReplaySession(config));
+            ReplayRow row(config);
+            for (std::size_t c = 0; c < cursors.size(); ++c) {
+                predictors.push_back(makePredictor(name));
+                if (cursors[c] > 0) {
+                    auto donor = makePredictor(name);
+                    ReplaySession donor_session(config);
+                    trace::TraceBuffer source = sharedTrace();
+                    ASSERT_EQ(donor_session.run(source, *donor, cursors[c]),
+                              cursors[c]);
+                    const PartialCell partial =
+                        capturePartialCell("row", name, cursors[c],
+                                           *donor, donor_session);
+                    ASSERT_TRUE(restorePartialCell(
+                        partial, *predictors[c], sessions[c]));
+                }
+                row.addColumn(*predictors[c], sessions[c]);
             }
-            columns.push_back(std::move(column));
+            for (std::size_t off = 0; off < records.size(); off += span)
+                row.feed(records.data() + off,
+                         std::min(span, records.size() - off));
+            row.finish();
+            EXPECT_EQ(row.position(), records.size()) << label;
+            for (std::size_t c = 0; c < cursors.size(); ++c) {
+                expectMatches(want, sessions[c], *predictors[c],
+                              label + ", joined at " +
+                                  std::to_string(cursors[c]));
+                EXPECT_GE(row.cpuSeconds(c), 0.0) << label;
+                EXPECT_GE(row.wallSeconds(c), 0.0) << label;
+            }
+            EXPECT_GT(row.planSeconds(), 0.0) << label;
         }
+    }
+}
 
-        ReplayPlan plan(config);
-        std::uint64_t pos = 0;
-        while (pos < records.size()) {
-            std::uint64_t end = std::min<std::uint64_t>(
-                records.size(), pos + trace::kReplayChunk);
-            end = std::min(end, (pos / kWindow + 1) * kWindow);
-            plan.build(records.data() + pos,
-                       static_cast<std::size_t>(end - pos));
-            for (auto &column : columns) {
-                if (column.cursor >= end)
-                    continue;
-                column.session->feed(
-                    plan,
-                    static_cast<std::size_t>(
-                        std::max(pos, column.cursor) - pos),
-                    *column.predictor);
-                column.cursor = end;
-            }
-            pos = end;
-        }
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-            columns[c].session->finish(*columns[c].predictor);
-            expectMatches(want, *columns[c].session,
-                          *columns[c].predictor,
-                          name + ", joined at " +
-                              std::to_string(cursors[c]));
-        }
+TEST(ReplayRow, LineupMatchesStandaloneRunsForEveryPredictor)
+{
+    // runLineup replays every factory predictor as one column of one
+    // row; each column must equal its own standalone Engine::run.
+    const trace::TraceBuffer &trace = sharedTrace();
+    const std::vector<std::string> names = allPredictors();
+    const std::vector<LineupEntry> lineup = runLineup(trace, names);
+    ASSERT_EQ(lineup.size(), names.size());
+    for (std::size_t c = 0; c < names.size(); ++c) {
+        auto predictor = makePredictor(names[c]);
+        trace::ReplaySource source(trace);
+        const RunMetrics want = Engine().run(source, *predictor);
+        EXPECT_EQ(lineup[c].name, names[c]);
+        util::StateWriter a;
+        util::StateWriter b;
+        want.saveState(a);
+        lineup[c].metrics.saveState(b);
+        EXPECT_EQ(a.bytes(), b.bytes()) << names[c];
+        EXPECT_GT(lineup[c].metrics.mtIndirect, 0u) << names[c];
     }
 }
 

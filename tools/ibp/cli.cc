@@ -681,21 +681,18 @@ writeFindingTimeline(const std::string &dir,
     if (predictors.empty())
         return;
 
-    trace::TraceBuffer buffer = sim::generateTrace(finding.profile);
-    sim::EngineConfig config;
-    config.timeline.interval =
+    sim::SuiteOptions options;
+    options.engine.timeline.interval =
         std::max<std::uint64_t>(1, finding.profile.records / 64);
+    const sim::SuiteResult result =
+        sim::runSuite({finding.profile}, predictors, options);
 
     std::vector<obs::TraceEvent> events;
     std::uint64_t pid = obs::kTimelinePidBase;
-    for (const auto &name : predictors) {
-        auto predictor = sim::makePredictor(name);
-        sim::Engine engine(config);
-        obs::Timeline timeline;
-        buffer.rewind();
-        engine.run(buffer, *predictor, nullptr, &timeline);
-        obs::appendTimelineEvents(timeline, name, pid++, events);
-    }
+    for (const auto &name : predictors)
+        obs::appendTimelineEvents(
+            result.timelines.at(finding.profile.fullName()).at(name),
+            name, pid++, events);
 
     const std::string path =
         (fs::path(dir) /
