@@ -1,14 +1,19 @@
 /**
  * @file
  * google-benchmark microbenchmarks: lookup/update throughput of every
- * predictor and the cost of the shared primitives (SFSXS hashing,
- * trace generation, trace codecs).  These are engineering numbers for
+ * predictor, the fig6 and fig7 lineups replayed as one suite row (with
+ * the plan pass and each column timed on their own), and the cost of
+ * the shared primitives (SFSXS hashing, trace generation, trace
+ * codecs).  These are engineering numbers for
  * users embedding the library, not paper results.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/table.hh"
 #include "trace/trace_io.hh"
@@ -49,7 +54,64 @@ predictorThroughput(benchmark::State &state, const char *name)
     state.SetItemsProcessed(static_cast<int64_t>(branches));
 }
 
+/** The standard suite's first row (perl), cut to 200k records. */
+const ibp::trace::TraceBuffer &
+suiteTrace()
+{
+    static const ibp::trace::TraceBuffer trace = [] {
+        auto profile = ibp::workload::standardSuite().front();
+        profile.records = 200'000;
+        return ibp::sim::generateTrace(profile);
+    }();
+    return trace;
+}
+
+/**
+ * A suite row: @p names replayed as the columns of one timed ReplayRow
+ * over the suite trace, one plan per chunk, as runSuite() replays a
+ * row.  Fresh predictors per iteration, built outside the timing.  The
+ * counters split the row's time per record into the plan pass (RAS,
+ * classification and history lanes) and each column's replay.
+ */
+void
+lineupRow(benchmark::State &state, const std::vector<std::string> &names)
+{
+    const ibp::trace::TraceBuffer &trace = suiteTrace();
+    double plan = 0;
+    std::vector<double> columns(names.size());
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::vector<std::unique_ptr<ibp::pred::IndirectPredictor>>
+            predictors;
+        std::vector<ibp::sim::ReplaySession> sessions(names.size());
+        ibp::sim::ReplayRow row({}, ibp::sim::ReplayRow::Timing::On);
+        for (std::size_t c = 0; c < names.size(); ++c) {
+            predictors.push_back(ibp::sim::makePredictor(names[c]));
+            row.addColumn(*predictors[c], sessions[c]);
+        }
+        state.ResumeTiming();
+        row.feed(trace.records().data(), trace.size());
+        row.finish();
+        benchmark::DoNotOptimize(sessions[0].metrics().mtIndirect);
+        plan += row.planSeconds();
+        for (std::size_t c = 0; c < names.size(); ++c)
+            columns[c] += row.wallSeconds(c);
+    }
+    const double records =
+        static_cast<double>(state.iterations()) *
+        static_cast<double>(trace.size());
+    state.SetItemsProcessed(static_cast<int64_t>(records));
+    state.counters["plan_ns"] = 1e9 * plan / records;
+    for (std::size_t c = 0; c < names.size(); ++c)
+        state.counters[names[c] + "_ns"] = 1e9 * columns[c] / records;
+}
+
 } // namespace
+
+BENCHMARK_CAPTURE(lineupRow, fig6, ibp::sim::figure6Predictors())
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(lineupRow, fig7, ibp::sim::figure7Predictors())
+    ->Unit(benchmark::kMillisecond);
 
 #define PREDICTOR_BENCH(tag, name)                                     \
     static void BM_##tag(benchmark::State &state)                      \

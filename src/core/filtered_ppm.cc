@@ -16,6 +16,12 @@ FilteredPpm::FilteredPpm(const FilteredPpmConfig &config, std::string name)
 pred::Prediction
 FilteredPpm::predict(trace::Addr pc)
 {
+    return predictOn(ppm_.words(), pc);
+}
+
+pred::Prediction
+FilteredPpm::predictOn(const pred::PathWords &words, trace::Addr pc)
+{
     const pred::FilterEntry *fentry = filter_.probe(pc);
     lastFilter = fentry ? pred::Prediction{fentry->entry.valid,
                                            fentry->entry.target}
@@ -33,7 +39,7 @@ FilteredPpm::predict(trace::Addr pc)
         ++servedByFilter;
         return lastFilter;
     }
-    lastPpm = ppm_.predict(pc);
+    lastPpm = ppm_.predictOn(words, pc);
     return lastPpm.valid ? lastPpm : lastFilter;
 }
 

@@ -48,10 +48,23 @@ class FilteredPpm final : public pred::IndirectPredictor
     pred::Prediction
     predictAndUpdate(trace::Addr pc, trace::Addr target) override
     {
-        const pred::Prediction predicted = FilteredPpm::predict(pc);
+        return predictAndUpdateOn(ppm_.words(), pc, target);
+    }
+
+    /** predictAndUpdate() on the inner PPM's register words @p words,
+     *  which a replay row's history lanes hold for this record. */
+    pred::Prediction
+    predictAndUpdateOn(const pred::PathWords &words, trace::Addr pc,
+                       trace::Addr target)
+    {
+        const pred::Prediction predicted = predictOn(words, pc);
         FilteredPpm::update(pc, target);
         return predicted;
     }
+
+    /** The inner PPM's PB and PIB registers (see PpmPredictor). */
+    SfsxsHistory &pbRegister() { return ppm_.pbRegister(); }
+    SfsxsHistory &pibRegister() { return ppm_.pibRegister(); }
 
     void observe(const trace::BranchRecord &record) override;
     std::uint64_t storageBits() const override;
@@ -71,6 +84,10 @@ class FilteredPpm final : public pred::IndirectPredictor
     const PpmPredictor &inner() const { return ppm_; }
 
   private:
+    /** predict() on the inner PPM's register words @p words. */
+    pred::Prediction predictOn(const pred::PathWords &words,
+                               trace::Addr pc);
+
     FilteredPpmConfig config_;
     std::string name_;
     pred::FilterStage filter_;

@@ -25,26 +25,10 @@ PpmPredictor::PpmPredictor(const PpmPredictorConfig &config,
       name_(name.empty() ? variantName(config.variant)
                          : std::move(name)),
       ppm_(config.ppm),
-      pbWord_(config.ppm.hash),
-      pibWord_(config.ppm.hash),
+      pb_(config.ppm.hash, config.phrBitsPerTarget, config.pbStream),
+      pib_(config.ppm.hash, config.phrBitsPerTarget, config.pibStream),
       biu_(config.biu)
 {
-    for (unsigned kind = 0;
-         kind <= static_cast<unsigned>(trace::BranchKind::Return);
-         ++kind) {
-        for (bool multi_target : {false, true}) {
-            trace::BranchRecord record;
-            record.kind = static_cast<trace::BranchKind>(kind);
-            record.multiTarget = multi_target;
-            unsigned streams = 0;
-            if (pred::inStream(config_.pbStream, record))
-                streams |= kPbStream;
-            if (pred::inStream(config_.pibStream, record))
-                streams |= kPibStream;
-            streamTable_[membershipSlot(record.kind, multi_target)] =
-                static_cast<std::uint8_t>(streams);
-        }
-    }
 }
 
 void
@@ -68,9 +52,9 @@ PpmPredictor::snapshotProbes(obs::ProbeRegistry &registry) const
 std::uint64_t
 PpmPredictor::storageBits() const
 {
-    std::uint64_t bits = ppm_.storageBits() + phrStorageBits(pibWord_);
+    std::uint64_t bits = ppm_.storageBits() + phrStorageBits(pib_);
     if (config_.variant != PpmVariant::PibOnly)
-        bits += phrStorageBits(pbWord_) + biu_.storageBits();
+        bits += phrStorageBits(pb_) + biu_.storageBits();
     return bits;
 }
 
@@ -78,8 +62,8 @@ void
 PpmPredictor::reset()
 {
     ppm_.reset();
-    pbWord_.reset();
-    pibWord_.reset();
+    pb_.reset();
+    pib_.reset();
     biu_.reset();
     lastPrediction = {};
     lastBiuEntry = nullptr;
@@ -92,8 +76,8 @@ void
 PpmPredictor::saveState(util::StateWriter &writer) const
 {
     ppm_.saveState(writer);
-    pbWord_.saveState(writer);
-    pibWord_.saveState(writer);
+    pb_.saveState(writer);
+    pib_.saveState(writer);
     biu_.saveState(writer);
     pred::savePrediction(writer, lastPrediction);
     writer.writeU64(pibSelected);
@@ -107,8 +91,8 @@ void
 PpmPredictor::loadState(util::StateReader &reader)
 {
     ppm_.loadState(reader);
-    pbWord_.loadState(reader);
-    pibWord_.loadState(reader);
+    pb_.loadState(reader);
+    pib_.loadState(reader);
     biu_.loadState(reader);
     pred::loadPrediction(reader, lastPrediction);
     pibSelected = reader.readU64();

@@ -66,22 +66,7 @@ class PpmPredictor final : public pred::IndirectPredictor
     pred::Prediction
     predict(trace::Addr pc) override
     {
-        bool use_pib = true;
-        if (config_.variant != PpmVariant::PibOnly) {
-            BiuEntry &entry = biu_.lookup(pc);
-            entry.multiTarget = true; // learned at first fetch in hw
-            use_pib = entry.selection.usePib();
-            lastBiuEntry = config_.biu.infinite ? &entry : nullptr;
-        }
-        ++selectTotal;
-        if (use_pib)
-            ++pibSelected;
-
-        const std::uint64_t word =
-            (use_pib ? pibWord_ : pbWord_).word();
-        lastPrediction =
-            ppm_.predictHashed(ppm_.hash().mixPc(word, pc), pc);
-        return lastPrediction;
+        return predictOn(words(), pc);
     }
 
     void
@@ -105,45 +90,60 @@ class PpmPredictor final : public pred::IndirectPredictor
     pred::Prediction
     predictAndUpdate(trace::Addr pc, trace::Addr target) override
     {
-        const pred::Prediction prediction = PpmPredictor::predict(pc);
+        return predictAndUpdateOn(words(), pc, target);
+    }
+
+    /** predictAndUpdate() on the register words @p words, which a
+     *  replay row's history lanes hold for this record, instead of on
+     *  the registers' own. */
+    pred::Prediction
+    predictAndUpdateOn(const pred::PathWords &words, trace::Addr pc,
+                       trace::Addr target)
+    {
+        const pred::Prediction prediction = predictOn(words, pc);
         PpmPredictor::update(pc, target);
         return prediction;
     }
 
-    /** Advance the two path-history registers.  Each register is held
-     *  directly in its SFSXS-hashed form (see SfsxsWord) — the hash is
-     *  the registers' only consumer, so the folded ring is the
-     *  complete architectural state and predict() reads a ready-made
-     *  word in O(1).  Stream membership is one table load, and the
-     *  path symbol is selected and folded once even when the record
-     *  is in both streams. */
+    /** Advance the two path-history registers.  Each is held directly
+     *  in its SFSXS-hashed form (see SfsxsWord) — the hash is the
+     *  registers' only consumer, so the folded ring is the complete
+     *  architectural state and predict() reads a ready-made word in
+     *  O(1). */
     void
     observe(const trace::BranchRecord &record) override
     {
-        const unsigned streams = membership(record);
-        if (streams == 0)
-            return;
-        const std::uint32_t folded =
-            pibWord_.fold(static_cast<std::uint32_t>(
-                pred::pathSymbol(record, config_.phrBitsPerTarget)));
-        if (streams & kPbStream)
-            pbWord_.pushFolded(folded);
-        if (streams & kPibStream)
-            pibWord_.pushFolded(folded);
+        pb_.observe(record);
+        pib_.observe(record);
     }
 
-    /** membership() bits: the record enters the PB / PIB register. */
-    static constexpr unsigned kPbStream = 1;
-    static constexpr unsigned kPibStream = 2;
+    /** The PB and PIB registers: a replay row keys its history lanes
+     *  on them and copies the lanes' state back in after each chunk. */
+    SfsxsHistory &pbRegister() { return pb_; }
+    SfsxsHistory &pibRegister() { return pib_; }
 
-    /** Which registers @p record enters: pred::inStream() of the
-     *  configured PB and PIB streams, read from a table built at
-     *  construction and indexed by branch kind and multi-target bit. */
-    unsigned
-    membership(const trace::BranchRecord &record) const
+    /** The register words predict() reads. */
+    pred::PathWords words() const { return {pb_.value(), pib_.value()}; }
+
+    /** predict() on the register words @p words. */
+    pred::Prediction
+    predictOn(const pred::PathWords &words, trace::Addr pc)
     {
-        return streamTable_[membershipSlot(record.kind,
-                                           record.multiTarget)];
+        bool use_pib = true;
+        if (config_.variant != PpmVariant::PibOnly) {
+            BiuEntry &entry = biu_.lookup(pc);
+            entry.multiTarget = true; // learned at first fetch in hw
+            use_pib = entry.selection.usePib();
+            lastBiuEntry = config_.biu.infinite ? &entry : nullptr;
+        }
+        ++selectTotal;
+        if (use_pib)
+            ++pibSelected;
+
+        const std::uint64_t word = use_pib ? words.pib : words.pb;
+        lastPrediction =
+            ppm_.predictHashed(ppm_.hash().mixPc(word, pc), pc);
+        return lastPrediction;
     }
 
     void snapshotProbes(obs::ProbeRegistry &registry) const override;
@@ -164,16 +164,6 @@ class PpmPredictor final : public pred::IndirectPredictor
     double pibSelectRatio() const;
 
   private:
-    /** Branch kinds x the multi-target bit. */
-    static constexpr unsigned kMembershipSlots =
-        2 * (static_cast<unsigned>(trace::BranchKind::Return) + 1);
-
-    static constexpr unsigned
-    membershipSlot(trace::BranchKind kind, bool multi_target)
-    {
-        return 2 * static_cast<unsigned>(kind) + (multi_target ? 1 : 0);
-    }
-
     SelectionMode
     selectionMode() const
     {
@@ -187,7 +177,7 @@ class PpmPredictor final : public pred::IndirectPredictor
     /** Hardware cost of the PHR behind one SFSXS word: m symbols of
      *  phrBitsPerTarget bits (the word itself is derived state). */
     std::uint64_t
-    phrStorageBits(const SfsxsWord &) const
+    phrStorageBits(const SfsxsHistory &) const
     {
         return static_cast<std::uint64_t>(config_.ppm.hash.order) *
                config_.phrBitsPerTarget;
@@ -199,11 +189,8 @@ class PpmPredictor final : public pred::IndirectPredictor
      *  only reader, so no raw-symbol copy is kept): predict() reads
      *  the selected word in O(1) instead of folding all m symbols per
      *  prediction. */
-    SfsxsWord pbWord_;
-    SfsxsWord pibWord_;
-    /** membership() bits per membershipSlot(); wiring derived from
-     *  the stream config, not predictor state. */
-    std::uint8_t streamTable_[kMembershipSlots] = {};
+    SfsxsHistory pb_;
+    SfsxsHistory pib_;
     Biu biu_;
 
     pred::Prediction lastPrediction;

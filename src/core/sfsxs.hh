@@ -17,6 +17,7 @@
 #ifndef IBP_CORE_SFSXS_HH_
 #define IBP_CORE_SFSXS_HH_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "util/bitops.hh"
@@ -131,11 +132,11 @@ class Sfsxs
  * every step (asserted by the unit tests).  The caller applies
  * Sfsxs::mixPc() at lookup time, since the pc is per-prediction.
  *
- * Every register of a PPM predictor shares one geometry, so a symbol
- * is folded (fold()) apart from being pushed (pushFolded()): a record
- * that enters several registers is folded once.  The fold geometry is resolved at
- * construction, and the ring is an inline array of 16-bit folds (no
- * heap ring whose slots the compiler must assume alias the word).
+ * A symbol is folded (fold()) apart from being pushed (pushFolded()),
+ * so the fold can be checked against Sfsxs::foldedSymbol() on its own.
+ * The fold geometry is resolved at construction, and the ring is an
+ * inline array of 16-bit folds (no heap ring whose slots the compiler
+ * must assume alias the word).
  */
 class SfsxsWord
 {
@@ -175,6 +176,24 @@ class SfsxsWord
     /** The current pre-mixPc hash word. */
     std::uint64_t word() const { return word_; }
 
+    /** True iff both words select, fold and keep the same number of
+     *  symbols: pushed the same symbols, they hold the same state. */
+    bool
+    sameGeometry(const SfsxsWord &other) const
+    {
+        return selectMask_ == other.selectMask_ &&
+               foldBits_ == other.foldBits_ && order_ == other.order_;
+    }
+
+    /** Same geometry, ring, head and word. */
+    bool
+    operator==(const SfsxsWord &other) const
+    {
+        return sameGeometry(other) && head_ == other.head_ &&
+               word_ == other.word_ &&
+               std::equal(ring_, ring_ + order_, other.ring_);
+    }
+
     void reset();
 
     /** Serialize the fold ring (one U64 per slot), head and word. */
@@ -199,6 +218,75 @@ class SfsxsWord
     unsigned order_ = 0;
     unsigned head_ = 0; ///< ring slot of the most recent fold
     std::uint16_t ring_[kMaxOrder] = {};
+};
+
+/**
+ * A path-history register kept as its SFSXS word: the branch stream it
+ * records and the symbol width it takes from each target, feeding one
+ * SfsxsWord.  The PPM predictor's PB and PIB registers; its state and
+ * byte layout are the word's.
+ */
+class SfsxsHistory
+{
+  public:
+    SfsxsHistory(const SfsxsConfig &config, unsigned symbol_bits,
+                 pred::StreamSel stream)
+        : word_(config), symbolBits_(symbol_bits), stream_(stream)
+    {
+    }
+
+    /** Advance on a retired branch (no-op outside the stream). */
+    void
+    observe(const trace::BranchRecord &record)
+    {
+        if (pred::inStream(stream_, record))
+            push(record);
+    }
+
+    /** Push @p record's symbol; the stream check is the caller's. */
+    void
+    push(const trace::BranchRecord &record)
+    {
+        word_.pushFolded(word_.fold(static_cast<std::uint32_t>(
+            pred::pathSymbol(record, symbolBits_))));
+    }
+
+    /** The pre-mixPc hash word: what a prediction reads. */
+    std::uint64_t value() const { return word_.word(); }
+
+    pred::StreamSel stream() const { return stream_; }
+
+    /** Same hash geometry, symbol width and stream. */
+    bool
+    sameGeometry(const SfsxsHistory &other) const
+    {
+        return word_.sameGeometry(other.word_) &&
+               symbolBits_ == other.symbolBits_ &&
+               stream_ == other.stream_;
+    }
+
+    /** Same geometry and state. */
+    bool
+    operator==(const SfsxsHistory &other) const
+    {
+        return sameGeometry(other) && word_ == other.word_;
+    }
+
+    void reset() { word_.reset(); }
+
+    /** The word's bytes (SfsxsWord::saveState()). */
+    void
+    saveState(util::StateWriter &writer) const
+    {
+        word_.saveState(writer);
+    }
+
+    void loadState(util::StateReader &reader) { word_.loadState(reader); }
+
+  private:
+    SfsxsWord word_;
+    unsigned symbolBits_;
+    pred::StreamSel stream_;
 };
 
 } // namespace ibp::core

@@ -79,6 +79,19 @@ pathSymbol(const trace::BranchRecord &record, unsigned bits)
     return util::selectLow(record.nextPc() >> 2, bits);
 }
 
+/**
+ * The values of a predictor's PB (all-branch) and PIB (indirect-only)
+ * path registers at one record: what predict() reads of them.  A
+ * replay row's history lanes (sim::ReplayPlan) hold these per
+ * predicted record, so a predictor with lanes predicts on them
+ * instead of advancing its own registers record by record.
+ */
+struct PathWords
+{
+    std::uint64_t pb = 0;
+    std::uint64_t pib = 0;
+};
+
 /** Packed shift-register path history. */
 class ShiftHistory
 {
@@ -103,8 +116,14 @@ class ShiftHistory
     void
     observe(const trace::BranchRecord &record)
     {
-        if (!inStream(stream_, record))
-            return;
+        if (inStream(stream_, record))
+            push(record);
+    }
+
+    /** Shift in @p record's symbol; the stream check is the caller's. */
+    void
+    push(const trace::BranchRecord &record)
+    {
         value_ = ((value_ << symbolBits) |
                   pathSymbol(record, symbolBits)) &
                  util::maskLow(totalBits);
@@ -115,6 +134,23 @@ class ShiftHistory
 
     unsigned bits() const { return totalBits; }
     StreamSel stream() const { return stream_; }
+
+    /** True iff both registers record the same symbols of the same
+     *  stream into the same width: fed the same records, they hold
+     *  the same value. */
+    bool
+    sameGeometry(const ShiftHistory &other) const
+    {
+        return totalBits == other.totalBits &&
+               symbolBits == other.symbolBits && stream_ == other.stream_;
+    }
+
+    /** Same geometry and contents. */
+    bool
+    operator==(const ShiftHistory &other) const
+    {
+        return sameGeometry(other) && value_ == other.value_;
+    }
 
     void reset() { value_ = 0; }
 

@@ -47,14 +47,14 @@ PerceptronIndirect::candidateTag(trace::Addr target) const
 }
 
 std::uint64_t
-PerceptronIndirect::tableHash(std::size_t table, trace::Addr pc) const
+PerceptronIndirect::tableHash(std::size_t table, trace::Addr pc,
+                              const PathWords &words) const
 {
     // Half the tables read PIB-register segments, half PB-register
     // segments; the target fold is XOR-ed in per candidate, so the
     // same weights discriminate between candidates.
     const bool pib = table < half_;
-    const std::uint64_t history =
-        pib ? pibHistory_.value() : pbHistory_.value();
+    const std::uint64_t history = pib ? words.pib : words.pb;
     const unsigned segmentBits = pib ? pibSegmentBits_ : pbSegmentBits_;
     const auto lane = static_cast<unsigned>(pib ? table : table - half_);
     const std::uint64_t segment =
@@ -72,7 +72,7 @@ std::uint64_t
 PerceptronIndirect::featureIndex(std::size_t table, trace::Addr pc,
                                  trace::Addr target) const
 {
-    return weights_[table].reduce(tableHash(table, pc) ^
+    return weights_[table].reduce(tableHash(table, pc, words()) ^
                                   targetFold(target));
 }
 
@@ -95,13 +95,13 @@ PerceptronIndirect::weightSum(std::uint64_t fold) const
 }
 
 PerceptronIndirect::Scoring
-PerceptronIndirect::scoreCandidates(trace::Addr pc)
+PerceptronIndirect::scoreCandidates(trace::Addr pc, const PathWords &words)
 {
     // No LRU touch and no state beyond the hash scratch: histories
     // only advance in observe(), so predict() stays repeatable and a
     // following train() finds every hash still current.
     for (std::size_t i = 0; i < config_.numTables; ++i)
-        tableHashes_[i] = tableHash(i, pc);
+        tableHashes_[i] = tableHash(i, pc, words);
     Scoring scoring;
     scoring.set = candidateSet(pc);
     for (std::size_t way = 0; way < candidates_.ways(); ++way) {
@@ -125,19 +125,26 @@ PerceptronIndirect::scoreCandidates(trace::Addr pc)
 Prediction
 PerceptronIndirect::predict(trace::Addr pc)
 {
-    return scoreCandidates(pc).prediction;
+    return scoreCandidates(pc, words()).prediction;
 }
 
 void
 PerceptronIndirect::update(trace::Addr pc, trace::Addr target)
 {
-    train(scoreCandidates(pc), target);
+    train(scoreCandidates(pc, words()), target);
 }
 
 Prediction
 PerceptronIndirect::predictAndUpdate(trace::Addr pc, trace::Addr target)
 {
-    const Scoring scoring = scoreCandidates(pc);
+    return predictAndUpdateOn(words(), pc, target);
+}
+
+Prediction
+PerceptronIndirect::predictAndUpdateOn(const PathWords &words,
+                                       trace::Addr pc, trace::Addr target)
+{
+    const Scoring scoring = scoreCandidates(pc, words);
     train(scoring, target);
     return scoring.prediction;
 }

@@ -73,12 +73,23 @@ class PerceptronIndirect final : public IndirectPredictor
     Prediction predictAndUpdate(trace::Addr pc,
                                 trace::Addr target) override;
 
+    /** predictAndUpdate() on the register values @p words, which a
+     *  replay row's history lanes hold for this record, instead of on
+     *  the registers' own. */
+    Prediction predictAndUpdateOn(const PathWords &words, trace::Addr pc,
+                                  trace::Addr target);
+
     void
     observe(const trace::BranchRecord &record) override
     {
         pibHistory_.observe(record);
         pbHistory_.observe(record);
     }
+
+    /** The PB and PIB registers: a replay row keys its history lanes
+     *  on them and copies the lanes' state back in after each chunk. */
+    ShiftHistory &pbRegister() { return pbHistory_; }
+    ShiftHistory &pibRegister() { return pibHistory_; }
 
     std::uint64_t storageBits() const override;
     void reset() override;
@@ -112,15 +123,22 @@ class PerceptronIndirect final : public IndirectPredictor
 
     std::uint64_t candidateSet(trace::Addr pc) const;
     std::uint64_t candidateTag(trace::Addr target) const;
+    /** The register values predict() reads. */
+    PathWords
+    words() const
+    {
+        return {pbHistory_.value(), pibHistory_.value()};
+    }
     /** The target-independent part of table @p table's feature hash
-     *  for @p pc under the current histories. */
-    std::uint64_t tableHash(std::size_t table, trace::Addr pc) const;
+     *  for @p pc under the register values @p words. */
+    std::uint64_t tableHash(std::size_t table, trace::Addr pc,
+                            const PathWords &words) const;
     /** The candidate-target part of every feature hash. */
     static std::uint64_t targetFold(trace::Addr target);
 
     /** The one scoring routine behind predict(), update() and
      *  predictAndUpdate(); leaves each table's hash in tableHashes_. */
-    Scoring scoreCandidates(trace::Addr pc);
+    Scoring scoreCandidates(trace::Addr pc, const PathWords &words);
     /** The one training routine behind update() and
      *  predictAndUpdate(), on the hashes @p scoring left behind. */
     void train(const Scoring &scoring, trace::Addr target);

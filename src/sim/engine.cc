@@ -1,6 +1,8 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "util/logging.hh"
@@ -20,6 +22,20 @@ namespace ibp::sim {
 namespace {
 
 /**
+ * True for the predictors that take history lanes: their PB and PIB
+ * registers are read only through predictAndUpdateOn(), so a row folds
+ * them once per chunk in its plan (ReplayPlan::addLane()) and the
+ * column replays only its predicted records.
+ */
+template <typename Predictor>
+concept TakesLanes = requires(Predictor &predictor,
+                              const pred::PathWords &words) {
+    predictor.pbRegister();
+    predictor.pibRegister();
+    predictor.predictAndUpdateOn(words, trace::Addr{}, trace::Addr{});
+};
+
+/**
  * The replay loop, templated on the concrete predictor type.  For the
  * hot predictor classes (see withHotType()) the compiler
  * devirtualizes and inlines predictAndUpdate()/observe() straight into
@@ -31,22 +47,31 @@ namespace {
  * observe there, and in between it observes the records a predictor's
  * history can see — none when observe() is a no-op, none when
  * observe() only reacts to predicted records, every one otherwise —
- * with no kind branch and no RAS work.  The per-record protocol is the
- * same in trace order, so metrics are bit-identical across
- * instantiations, observe scopes and chunkings.
+ * with no kind branch and no RAS work.  A predictor that takes lanes
+ * observes nothing: it predicts on the lanes' register words instead.
+ * The per-record protocol is the same in trace order, so metrics are
+ * bit-identical across instantiations, observe scopes and chunkings.
  */
 template <typename Predictor>
 inline void
 replayPlanned(const ReplayPlan &plan, std::size_t from, bool per_site,
               Predictor &predictor, RunMetrics &metrics)
 {
+    constexpr bool lanes = TakesLanes<Predictor>;
     const trace::BranchRecord *span = plan.records();
     const std::size_t n = plan.size();
-    const bool observes = predictor.wantsObserve();
+    const bool observes = !lanes && predictor.wantsObserve();
     const bool gaps = observes && !predictor.observesOnlyPredicted();
 
     const std::uint32_t *first = plan.predictedFrom(from);
     const std::uint32_t *last = plan.predictedEnd();
+    [[maybe_unused]] const std::uint64_t *pb_words = nullptr;
+    [[maybe_unused]] const std::uint64_t *pib_words = nullptr;
+    if constexpr (lanes) {
+        const auto k = static_cast<std::size_t>(first - plan.predictedBegin());
+        pb_words = plan.lane(predictor.pbRegister()).words() + k;
+        pib_words = plan.lane(predictor.pibRegister()).words() + k;
+    }
     // Counted in registers: the predictor calls cannot clobber them.
     std::uint64_t misses = 0;
     std::uint64_t abstentions = 0;
@@ -61,8 +86,13 @@ replayPlanned(const ReplayPlan &plan, std::size_t from, bool per_site,
         if (it == last)
             break;
         const trace::BranchRecord &record = span[*it];
-        const pred::Prediction prediction =
-            predictor.predictAndUpdate(record.pc, record.target);
+        pred::Prediction prediction;
+        if constexpr (lanes)
+            prediction = predictor.predictAndUpdateOn(
+                {*pb_words++, *pib_words++}, record.pc, record.target);
+        else
+            prediction =
+                predictor.predictAndUpdate(record.pc, record.target);
         const bool miss = !prediction.hit(record.target);
         misses += miss;
         abstentions += !prediction.valid;
@@ -80,6 +110,26 @@ replayPlanned(const ReplayPlan &plan, std::size_t from, bool per_site,
     metrics.mtIndirect += predicted;
     metrics.indirectMisses.add(misses, predicted);
     metrics.noPrediction.add(abstentions, predicted);
+}
+
+/**
+ * Copy the lane state after @p plan's chunk into @p reg.  Checked
+ * builds first require @p reg to hold the lane's state at @p from,
+ * the record the column joins the chunk at: a column whose registers
+ * disagree with its row's would replay another trace's history.
+ */
+template <typename Register>
+void
+takeLane(const ReplayPlan &plan, [[maybe_unused]] std::size_t from,
+         Register &reg)
+{
+    const HistoryLane<Register> &lane = plan.lane(reg);
+#ifdef IBP_CHECKED_TABLES
+    panic_if(!(lane.stateAt(plan.records(), from) == reg),
+             "a column's history registers differ from its row's "
+             "history lane at chunk offset ", from);
+#endif
+    reg = lane.state();
 }
 
 /**
@@ -133,6 +183,66 @@ Engine::run(trace::BranchSource &source,
     return session.metrics();
 }
 
+template <typename Register>
+void
+HistoryLane<Register>::build(const trace::BranchRecord *span,
+                             std::size_t n,
+                             const std::uint32_t *predicted,
+                             std::size_t count)
+{
+    if (words_.size() < count)
+        words_.resize(count);
+#ifdef IBP_CHECKED_TABLES
+    start_ = state_;
+#endif
+    // A local copy: the stores to words_ cannot alias it, so the
+    // register stays in host registers across the walk.
+    Register reg = state_;
+    std::uint64_t *words = words_.data();
+    const auto walk = [&](auto advance) {
+        std::size_t next = 0;
+        for (std::size_t k = 0; k < count; ++k) {
+            for (; next < predicted[k]; ++next)
+                advance(span[next]);
+            words[k] = reg.value();
+        }
+        for (; next < n; ++next)
+            advance(span[next]);
+    };
+    switch (reg.stream()) {
+      case pred::StreamSel::MtIndirect:
+        // The stream is exactly the chunk's predicted records.
+        for (std::size_t k = 0; k < count; ++k) {
+            words[k] = reg.value();
+            reg.push(span[predicted[k]]);
+        }
+        break;
+      case pred::StreamSel::AllBranches:
+        walk([&](const trace::BranchRecord &r) { reg.push(r); });
+        break;
+      default:
+        walk([&](const trace::BranchRecord &r) { reg.observe(r); });
+        break;
+    }
+    state_ = reg;
+}
+
+#ifdef IBP_CHECKED_TABLES
+template <typename Register>
+Register
+HistoryLane<Register>::stateAt(const trace::BranchRecord *span,
+                               std::size_t offset) const
+{
+    Register reg = start_;
+    for (std::size_t i = 0; i < offset; ++i)
+        reg.observe(span[i]);
+    return reg;
+}
+#endif
+
+template class HistoryLane<core::SfsxsHistory>;
+template class HistoryLane<pred::ShiftHistory>;
+
 void
 ReplayPlan::build(const trace::BranchRecord *span, std::size_t n)
 {
@@ -182,6 +292,31 @@ ReplayPlan::build(const trace::BranchRecord *span, std::size_t n)
             ras_.push(record.pc + 4);
     }
     returnCount_ = returns;
+    buildLanes();
+}
+
+void
+ReplayPlan::buildLanes()
+{
+    const auto build = [this](auto &set) {
+        for (std::size_t i = 0; i < set.active; ++i)
+            set.lanes[i].build(span_, size_, predicted_.data(),
+                               predictedCount_);
+    };
+    std::apply([&](auto &...sets) { (build(sets), ...); }, lanes_);
+}
+
+void
+ReplayPlan::clearLanes()
+{
+    std::apply([](auto &...sets) { ((sets.active = 0), ...); }, lanes_);
+}
+
+std::size_t
+ReplayPlan::laneCount() const
+{
+    return std::apply(
+        [](const auto &...sets) { return (sets.active + ...); }, lanes_);
 }
 
 const std::uint32_t *
@@ -203,7 +338,7 @@ ReplayPlan::returnsFrom(std::size_t from) const
 }
 
 ReplaySession::ReplaySession(const EngineConfig &config)
-    : config_(config), sampler_(config.timeline)
+    : config_(config), sampler_(config.timeline), standalone_(config)
 {
 }
 
@@ -212,7 +347,8 @@ ReplaySession::run(trace::BranchSource &source,
                    pred::IndirectPredictor &predictor,
                    std::uint64_t limit)
 {
-    ReplayRow row(config_, metrics_.branches);
+    ReplayRow &row = standalone_;
+    row.restart(metrics_.branches);
     row.ras() = ras_;
     row.addColumn(predictor, *this);
     std::uint64_t consumed = 0;
@@ -241,6 +377,11 @@ ReplaySession::feed(const ReplayPlan &plan, std::size_t from,
     withHotType(predictor, [&](auto &concrete) {
         replayPlanned(plan, from, config_.perSiteStats, concrete,
                       metrics_);
+        if constexpr (TakesLanes<std::remove_reference_t<
+                          decltype(concrete)>>) {
+            takeLane(plan, from, concrete.pbRegister());
+            takeLane(plan, from, concrete.pibRegister());
+        }
     });
     ras_ = plan.ras();
     metrics_.returnMisses.merge(plan.returnsFrom(from));
@@ -321,17 +462,45 @@ ReplaySession::loadProbes(util::StateReader &reader)
 }
 
 void
+ReplayRow::restart(std::uint64_t position)
+{
+    position_ = position;
+    plan_.ras() = pred::ReturnAddressStack();
+    plan_.clearLanes();
+    columns_.clear();
+    planSeconds_ = 0;
+}
+
+void
 ReplayRow::addColumn(pred::IndirectPredictor &predictor,
                      ReplaySession &session)
 {
-    panic_if(session.metrics().branches < position_,
-             "replay column starts before its row");
+    const std::uint64_t cursor = session.metrics().branches;
+    panic_if(cursor < position_, "replay column starts before its row");
+    withHotType(predictor, [&](auto &concrete) {
+        if constexpr (TakesLanes<std::remove_reference_t<
+                          decltype(concrete)>>) {
+            // Registers ahead of the row say nothing about the row's
+            // position; a row at record 0 starts from cold ones.
+            panic_if(cursor > position_ && position_ > 0,
+                     "a history-lane column ahead of a row that does "
+                     "not start at record 0");
+            const auto add = [&](auto reg) {
+                if (cursor > position_)
+                    reg.reset();
+                plan_.addLane(reg);
+            };
+            add(concrete.pbRegister());
+            add(concrete.pibRegister());
+        }
+    });
     columns_.push_back(Column{&predictor, &session});
 }
 
 void
 ReplayRow::feed(const trace::BranchRecord *span, std::size_t n)
 {
+    const bool timed = timing_ == Timing::On;
     for (std::size_t off = 0; off < n;) {
         std::uint64_t end = position_ + std::min<std::uint64_t>(
                                             n - off, trace::kReplayChunk);
@@ -339,12 +508,15 @@ ReplayRow::feed(const trace::BranchRecord *span, std::size_t n)
             end = std::min(end, (position_ / window_ + 1) * window_);
         const auto len = static_cast<std::size_t>(end - position_);
         // One clock reading ends each interval and starts the next.
-        double wall = obs::wallSeconds();
+        double wall = timed ? obs::wallSeconds() : 0;
         plan_.build(span + off, len);
-        double now = obs::wallSeconds();
-        planSeconds_ += now - wall;
-        wall = now;
-        double cpu = obs::threadCpuSeconds();
+        double cpu = 0;
+        if (timed) {
+            const double now = obs::wallSeconds();
+            planSeconds_ += now - wall;
+            wall = now;
+            cpu = obs::threadCpuSeconds();
+        }
         for (Column &column : columns_) {
             const std::uint64_t cursor = column.session->metrics().branches;
             if (cursor >= end)
@@ -353,7 +525,9 @@ ReplayRow::feed(const trace::BranchRecord *span, std::size_t n)
                 plan_, static_cast<std::size_t>(
                            std::max(position_, cursor) - position_),
                 *column.predictor);
-            now = obs::threadCpuSeconds();
+            if (!timed)
+                continue;
+            double now = obs::threadCpuSeconds();
             column.cpu += now - cpu;
             cpu = now;
             now = obs::wallSeconds();
@@ -363,6 +537,13 @@ ReplayRow::feed(const trace::BranchRecord *span, std::size_t n)
         position_ = end;
         off += len;
     }
+}
+
+void
+ReplayRow::finish()
+{
+    for (Column &column : columns_)
+        column.session->finish(*column.predictor);
 }
 
 } // namespace ibp::sim

@@ -16,14 +16,17 @@
 #define IBP_SIM_ENGINE_HH_
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "util/stats.hh"
 #include "trace/trace_buffer.hh"
 #include "obs/registry.hh"
 #include "obs/timeline.hh"
+#include "predictors/path_history.hh"
 #include "predictors/predictor.hh"
 #include "predictors/ras.hh"
+#include "core/sfsxs.hh"
 #include "sim/metrics.hh"
 
 namespace ibp::sim {
@@ -47,28 +50,75 @@ struct EngineConfig
 };
 
 /**
+ * One path-history register advanced once per chunk for every column
+ * of a row whose register has its geometry (Register::sameGeometry()).
+ * A register's value at a record depends only on the trace before it,
+ * so a lane keeps the value before each of the chunk's predicted
+ * records, which is all a prediction reads, and the register's state
+ * after the chunk, which its columns copy in when they close the chunk.
+ * Register is core::SfsxsHistory or pred::ShiftHistory.
+ */
+template <typename Register>
+class HistoryLane
+{
+  public:
+    explicit HistoryLane(const Register &state) : state_(state) {}
+
+    /**
+     * Advance the register over @p span[0, n), keeping its value
+     * before each record at @p predicted[0, count).
+     */
+    void build(const trace::BranchRecord *span, std::size_t n,
+               const std::uint32_t *predicted, std::size_t count);
+
+    /** The value before the k-th predicted record of the chunk. */
+    const std::uint64_t *words() const { return words_.data(); }
+
+    /** The register after the chunk; assign to seed the next build(). */
+    const Register &state() const { return state_; }
+    Register &state() { return state_; }
+
+#ifdef IBP_CHECKED_TABLES
+    /** The register before record @p offset of the chunk @p span last
+     *  built (checked builds: it replays the chunk's prefix). */
+    Register stateAt(const trace::BranchRecord *span,
+                     std::size_t offset) const;
+#endif
+
+  private:
+    Register state_;
+    std::vector<std::uint64_t> words_;
+#ifdef IBP_CHECKED_TABLES
+    Register start_ = state_; ///< the register before the chunk
+#endif
+};
+
+/**
  * One replay chunk classified once, independently of any predictor:
  * the offsets of its predicted (MT jmp/jsr) records, the outcomes of
- * one RAS over its returns, and that RAS's state after the chunk.
- * Neither the classification nor the RAS depends on the predictor, so
- * a ReplayRow builds one plan per chunk and every column replays from
- * it (ReplaySession::feed(plan, from, ...)) instead of re-walking the
- * records, re-branching on their kinds and re-running the same RAS.
+ * one RAS over its returns, that RAS's state after the chunk, and one
+ * history lane per distinct path-register geometry among the row's
+ * columns.  None of this depends on the predictor, so a ReplayRow
+ * builds one plan per chunk and every column replays from it
+ * (ReplaySession::feed(plan, from, ...)) instead of re-walking the
+ * records, re-branching on their kinds, re-running the same RAS and
+ * re-folding the same histories.
  *
- * The plan's RAS carries over from one build() to the next, so
- * consecutive builds over consecutive chunks track the trace's RAS
- * from wherever it was seeded.  Returns are kept as offsets with
- * prefix miss counts, so a column that joins mid-chunk (resumed from a
- * snapshot) takes exactly the suffix's return outcomes.
+ * The plan's RAS and lanes carry over from one build() to the next, so
+ * consecutive builds over consecutive chunks track the trace's RAS and
+ * histories from wherever they were seeded.  Returns are kept as
+ * offsets with prefix miss counts, and lane values per predicted
+ * record, so a column that joins mid-chunk (resumed from a snapshot)
+ * takes exactly the suffix's return outcomes and history values.
  */
 class ReplayPlan
 {
   public:
     /**
      * Classify @p span[0, n) (n <= trace::kReplayChunk) and advance the
-     * plan's RAS over it.  The span must outlive every feed() of this
-     * plan.  The offset buffers grow to the longest chunk built and are
-     * reused by every later build.
+     * plan's RAS and lanes over it.  The span must outlive every feed()
+     * of this plan.  The offset and lane buffers grow to the longest
+     * chunk built and are reused by every later build.
      */
     void build(const trace::BranchRecord *span, std::size_t n);
 
@@ -77,6 +127,7 @@ class ReplayPlan
 
     /** Offsets of the predicted records at or after @p from. */
     const std::uint32_t *predictedFrom(std::size_t from) const;
+    const std::uint32_t *predictedBegin() const { return predicted_.data(); }
     const std::uint32_t *
     predictedEnd() const
     {
@@ -90,7 +141,62 @@ class ReplayPlan
     const pred::ReturnAddressStack &ras() const { return ras_; }
     pred::ReturnAddressStack &ras() { return ras_; }
 
+    /**
+     * Track @p seed's geometry from the next build() on, starting at
+     * @p seed's state, unless a lane of that geometry already exists.
+     */
+    template <typename Register>
+    void
+    addLane(const Register &seed)
+    {
+        LaneSet<Register> &set = std::get<LaneSet<Register>>(lanes_);
+        if (set.find(seed) != nullptr)
+            return;
+        if (set.active < set.lanes.size())
+            set.lanes[set.active].state() = seed;
+        else
+            set.lanes.emplace_back(seed);
+        ++set.active;
+    }
+
+    /** The lane of @p reg's geometry (panics when there is none). */
+    template <typename Register>
+    const HistoryLane<Register> &
+    lane(const Register &reg) const
+    {
+        const HistoryLane<Register> *found =
+            std::get<LaneSet<Register>>(lanes_).find(reg);
+        panic_if(found == nullptr, "no history lane for a column");
+        return *found;
+    }
+
+    /** Drop every lane (their buffers are kept for the next ones). */
+    void clearLanes();
+
+    /** Lanes tracked, of either register kind. */
+    std::size_t laneCount() const;
+
   private:
+    /** Advance every tracked lane over the chunk just classified. */
+    void buildLanes();
+
+    /** The lanes of one register kind; [0, active) are tracked. */
+    template <typename Register>
+    struct LaneSet
+    {
+        std::vector<HistoryLane<Register>> lanes;
+        std::size_t active = 0;
+
+        const HistoryLane<Register> *
+        find(const Register &reg) const
+        {
+            for (std::size_t i = 0; i < active; ++i)
+                if (lanes[i].state().sameGeometry(reg))
+                    return &lanes[i];
+            return nullptr;
+        }
+    };
+
     pred::ReturnAddressStack ras_;
     const trace::BranchRecord *span_ = nullptr;
     std::size_t size_ = 0;
@@ -99,6 +205,8 @@ class ReplayPlan
     std::vector<std::uint32_t> predicted_;    ///< predicted offsets
     std::vector<std::uint32_t> returns_;      ///< return offsets
     std::vector<std::uint32_t> returnMisses_; ///< misses in returns_[0, k)
+    std::tuple<LaneSet<core::SfsxsHistory>, LaneSet<pred::ShiftHistory>>
+        lanes_;
 };
 
 /** The trace-driven engine: one whole-trace ReplaySession run. */
@@ -123,6 +231,96 @@ class Engine
 
   private:
     EngineConfig config_;
+};
+
+class ReplaySession;
+
+/**
+ * The one chunk loop: a trace replayed through a lineup of columns
+ * (suite rows, lineups and ReplaySession::run()'s single column).
+ * feed() cuts the trace at trace::kReplayChunk records and at absolute
+ * multiples of the timeline interval, builds one ReplayPlan per chunk
+ * and replays each column from its own cursor, its session's record
+ * count, so a column resumed from a snapshot skips the chunks and the
+ * part of a chunk it already replayed.  The plan holds one history
+ * lane per distinct path-register geometry among the columns that
+ * take lanes (the PPM family, Filtered-PPM and the perceptron), so a
+ * row folds each history once per chunk however many columns read
+ * it.  A timed row also times the plan pass and each column's replay.
+ */
+class ReplayRow
+{
+  public:
+    /** Whether feed() reads the clocks for the accessors below. */
+    enum class Timing : bool
+    {
+        Off,
+        On,
+    };
+
+    /** A row at record 0 with an empty RAS and no columns. */
+    explicit ReplayRow(const EngineConfig &config = {},
+                       Timing timing = Timing::Off)
+        : window_(config.timeline.interval), timing_(timing)
+    {
+    }
+
+    /**
+     * Drop every column and lane and continue at record @p position
+     * with an empty RAS (see ras()); the plan keeps its buffers.
+     */
+    void restart(std::uint64_t position);
+
+    /**
+     * Add a column replaying @p predictor into @p session (configured
+     * like the row) from the session's record count on, which must be
+     * at least position().  Both must outlive the row.  Columns are
+     * numbered in the order they are added.  A column whose predictor
+     * takes lanes adds any lane its registers lack, seeded from them
+     * when the column starts at position() and cold otherwise (which
+     * needs a row at record 0).
+     */
+    void addColumn(pred::IndirectPredictor &predictor,
+                   ReplaySession &session);
+
+    /** Replay the trace's next @p n records through every column. */
+    void feed(const trace::BranchRecord *span, std::size_t n);
+
+    /** Close every column's final partial timeline window. */
+    void finish();
+
+    /** Records of the trace fed so far, counted from record 0. */
+    std::uint64_t position() const { return position_; }
+
+    /** The RAS after the records fed so far. */
+    pred::ReturnAddressStack &ras() { return plan_.ras(); }
+
+    /** The plan of the last chunk fed (and the row's lanes). */
+    const ReplayPlan &plan() const { return plan_; }
+
+    /** Wall seconds spent building plans (timed rows). */
+    double planSeconds() const { return planSeconds_; }
+
+    /** Wall and thread-CPU seconds column @p c spent replaying (timed
+     *  rows). */
+    double wallSeconds(std::size_t c) const { return columns_[c].wall; }
+    double cpuSeconds(std::size_t c) const { return columns_[c].cpu; }
+
+  private:
+    struct Column
+    {
+        pred::IndirectPredictor *predictor;
+        ReplaySession *session;
+        double wall = 0;
+        double cpu = 0;
+    };
+
+    std::uint64_t window_; ///< timeline interval, 0 when sampling is off
+    Timing timing_;
+    std::uint64_t position_ = 0;
+    ReplayPlan plan_;
+    std::vector<Column> columns_;
+    double planSeconds_ = 0;
 };
 
 /**
@@ -152,8 +350,11 @@ class ReplaySession
     /**
      * Replay up to @p limit records from @p source (kNoLimit = until
      * exhaustion) with @p predictor, accumulating into this session's
-     * metrics: one nextSpan() run at a time through a one-column
-     * ReplayRow that starts at this session's record count and RAS.
+     * metrics: one nextSpan() run at a time through an untimed
+     * one-column ReplayRow that starts at this session's record count,
+     * RAS and predictor registers.  The row is the session's own and
+     * is restarted by every call, so a bounded run allocates nothing
+     * once the row's buffers have grown.
      * Reaching the end of the source calls finish().
      * @return records consumed by this call; less than @p limit means
      *         the source is exhausted.
@@ -221,75 +422,8 @@ class ReplaySession
     pred::ReturnAddressStack ras_;
     RunMetrics metrics_;
     obs::TimelineSampler sampler_;
-};
-
-/**
- * The one chunk loop: a trace replayed through a lineup of columns
- * (suite rows, lineups and ReplaySession::run()'s single column).
- * feed() cuts the trace at trace::kReplayChunk records and at absolute
- * multiples of the timeline interval, builds one ReplayPlan per chunk
- * and replays each column from its own cursor, its session's record
- * count, so a column resumed from a snapshot skips the chunks and the
- * part of a chunk it already replayed.  The row times the plan pass
- * and each column's replay.
- */
-class ReplayRow
-{
-  public:
-    /** A row at record @p position with an empty RAS (see ras()). */
-    explicit ReplayRow(const EngineConfig &config = {},
-                       std::uint64_t position = 0)
-        : window_(config.timeline.interval), position_(position)
-    {
-    }
-
-    /**
-     * Add a column replaying @p predictor into @p session (configured
-     * like the row) from the session's record count on, which must be
-     * at least position().  Both must outlive the row.  Columns are
-     * numbered in the order they are added.
-     */
-    void addColumn(pred::IndirectPredictor &predictor,
-                   ReplaySession &session);
-
-    /** Replay the trace's next @p n records through every column. */
-    void feed(const trace::BranchRecord *span, std::size_t n);
-
-    /** Close every column's final partial timeline window. */
-    void
-    finish()
-    {
-        for (Column &column : columns_)
-            column.session->finish(*column.predictor);
-    }
-
-    /** Records of the trace fed so far, counted from record 0. */
-    std::uint64_t position() const { return position_; }
-
-    /** The RAS after the records fed so far. */
-    pred::ReturnAddressStack &ras() { return plan_.ras(); }
-
-    /** Wall seconds spent building plans. */
-    double planSeconds() const { return planSeconds_; }
-
-    /** Wall and thread-CPU seconds column @p c spent replaying. */
-    double wallSeconds(std::size_t c) const { return columns_[c].wall; }
-    double cpuSeconds(std::size_t c) const { return columns_[c].cpu; }
-
-  private:
-    struct Column
-    {
-        pred::IndirectPredictor *predictor;
-        ReplaySession *session;
-        double wall = 0;
-        double cpu = 0;
-    };
-
-    std::uint64_t window_; ///< timeline interval, 0 when sampling is off
-    std::uint64_t position_;
-    ReplayPlan plan_;
-    std::vector<Column> columns_;
-    double planSeconds_ = 0;
+    /** run()'s one-column row: scratch, restarted by every call. */
+    ReplayRow standalone_;
 };
 
 } // namespace ibp::sim

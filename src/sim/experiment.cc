@@ -500,7 +500,7 @@ runRow(const workload::BenchmarkProfile &profile,
     // The walker always starts at record 0: the prefix a resumed
     // column already consumed is regenerated but not fed to it again.
     std::uint64_t resumed_at = total;
-    ReplayRow row(options.engine);
+    ReplayRow row(options.engine, ReplayRow::Timing::On);
     for (auto &column : columns) {
         resumed_at = std::min(resumed_at, column.session.metrics().branches);
         row.addColumn(*column.predictor, column.session);

@@ -61,11 +61,19 @@ struct BranchRecord
     /** Pushes a return address (jsr, or a direct bsr-style call). */
     bool call = false;
 
-    /** The address the machine actually continues from. */
+    /**
+     * The address the machine actually continues from.  Every
+     * path-history register reads this per record, and a conditional
+     * branch's direction is as hard for the host to predict as it is
+     * for the simulated machine, so the direction selects by a
+     * multiply: compilers turn a ternary, and even a mask select,
+     * back into a host branch.
+     */
     constexpr Addr
     nextPc() const
     {
-        return taken ? target : pc + 4;
+        const Addr fall_through = pc + 4;
+        return fall_through + (target - fall_through) * Addr{taken};
     }
 
     /**

@@ -77,7 +77,8 @@ TEST(FatalPaths, ReplayPlanMisusePanics)
                  "crosses a timeline boundary");
     // A row's columns replay from its position on, never before it.
     ibp::sim::ReplaySession behind;
-    ibp::sim::ReplayRow row({}, 10);
+    ibp::sim::ReplayRow row;
+    row.restart(10);
     EXPECT_DEATH(row.addColumn(*predictor, behind),
                  "starts before its row");
 }

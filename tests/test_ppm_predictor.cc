@@ -219,8 +219,10 @@ TEST(PpmPredictor, BiasedVariantUsesBiasedMachine)
     EXPECT_GE(drive(biased), drive(normal));
 }
 
-TEST(PpmPredictor, MembershipTableMatchesInStream)
+TEST(PpmPredictor, RegistersRecordTheirConfiguredStreams)
 {
+    // observe() advances exactly the registers whose stream holds the
+    // record, for every PB/PIB stream pairing and branch class.
     using ibp::pred::StreamSel;
     const StreamSel streams[] = {
         StreamSel::AllBranches, StreamSel::AllIndirect,
@@ -231,7 +233,6 @@ TEST(PpmPredictor, MembershipTableMatchesInStream)
             PpmPredictorConfig config = smallConfig(PpmVariant::Hybrid);
             config.pbStream = pb;
             config.pibStream = pib;
-            const PpmPredictor ppm(config);
             for (unsigned kind = 0;
                  kind <= static_cast<unsigned>(BranchKind::Return);
                  ++kind) {
@@ -239,11 +240,14 @@ TEST(PpmPredictor, MembershipTableMatchesInStream)
                     BranchRecord r;
                     r.kind = static_cast<BranchKind>(kind);
                     r.multiTarget = multi_target;
-                    const unsigned bits = ppm.membership(r);
-                    EXPECT_EQ((bits & PpmPredictor::kPbStream) != 0,
+                    r.taken = true;
+                    r.target = 0x1234; // a symbol with a non-zero fold
+                    PpmPredictor ppm(config);
+                    ppm.observe(r);
+                    EXPECT_EQ(ppm.pbRegister().value() != 0,
                               ibp::pred::inStream(pb, r))
                         << "PB kind " << kind << " mt " << multi_target;
-                    EXPECT_EQ((bits & PpmPredictor::kPibStream) != 0,
+                    EXPECT_EQ(ppm.pibRegister().value() != 0,
                               ibp::pred::inStream(pib, r))
                         << "PIB kind " << kind << " mt " << multi_target;
                 }

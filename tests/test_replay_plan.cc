@@ -329,7 +329,11 @@ TEST(ReplayPlan, ColumnsJoinARowPlanMidChunk)
     const auto &records = sharedTrace().records();
     const std::vector<std::uint64_t> cursors = {0, 4500, 6000, 7000};
 
-    for (const auto &name : kLineup) {
+    // Every history-lane type joins too: the three PPM variants share
+    // their lanes, the perceptron and Filtered-PPM bring their own.
+    std::vector<std::string> names = kLineup;
+    names.insert(names.end(), {"PPM-PIB", "PPM-hyb-biased"});
+    for (const auto &name : names) {
         const Reference want = referenceRun(name, config);
         for (std::size_t span : {1u, 7u, 4095u, 4096u, 4097u}) {
             const std::string label =
@@ -338,7 +342,7 @@ TEST(ReplayPlan, ColumnsJoinARowPlanMidChunk)
                 predictors;
             std::vector<ReplaySession> sessions(cursors.size(),
                                                 ReplaySession(config));
-            ReplayRow row(config);
+            ReplayRow row(config, ReplayRow::Timing::On);
             for (std::size_t c = 0; c < cursors.size(); ++c) {
                 predictors.push_back(makePredictor(name));
                 if (cursors[c] > 0) {
@@ -375,11 +379,22 @@ TEST(ReplayPlan, ColumnsJoinARowPlanMidChunk)
 TEST(ReplayRow, LineupMatchesStandaloneRunsForEveryPredictor)
 {
     // runLineup replays every factory predictor as one column of one
-    // row; each column must equal its own standalone Engine::run.
+    // row; each column must equal its own standalone Engine::run, in
+    // metrics and in the predictor's saveState() bytes (the lane
+    // columns copy their registers in from the row's lanes).
     const trace::TraceBuffer &trace = sharedTrace();
     const std::vector<std::string> names = allPredictors();
     const std::vector<LineupEntry> lineup = runLineup(trace, names);
     ASSERT_EQ(lineup.size(), names.size());
+    std::vector<std::unique_ptr<pred::IndirectPredictor>> columns;
+    std::vector<ReplaySession> sessions(names.size());
+    ReplayRow row;
+    for (std::size_t c = 0; c < names.size(); ++c) {
+        columns.push_back(makePredictor(names[c]));
+        row.addColumn(*columns[c], sessions[c]);
+    }
+    row.feed(trace.records().data(), trace.size());
+    row.finish();
     for (std::size_t c = 0; c < names.size(); ++c) {
         auto predictor = makePredictor(names[c]);
         trace::ReplaySource source(trace);
@@ -387,11 +402,64 @@ TEST(ReplayRow, LineupMatchesStandaloneRunsForEveryPredictor)
         EXPECT_EQ(lineup[c].name, names[c]);
         util::StateWriter a;
         util::StateWriter b;
+        util::StateWriter d;
         want.saveState(a);
         lineup[c].metrics.saveState(b);
+        sessions[c].metrics().saveState(d);
         EXPECT_EQ(a.bytes(), b.bytes()) << names[c];
+        EXPECT_EQ(a.bytes(), d.bytes()) << names[c];
+        EXPECT_EQ(predictorState(*predictor), predictorState(*columns[c]))
+            << names[c];
         EXPECT_GT(lineup[c].metrics.mtIndirect, 0u) << names[c];
     }
+}
+
+TEST(ReplayRow, ColumnsShareOneLanePerRegisterGeometry)
+{
+    // The three PPM variants fold identical PB and PIB registers, so
+    // their row tracks two lanes; the perceptron's two shift registers
+    // add two more, and a row of history-free predictors tracks none.
+    const auto lanes = [](const std::vector<std::string> &names) {
+        std::vector<std::unique_ptr<pred::IndirectPredictor>> predictors;
+        std::vector<ReplaySession> sessions(names.size());
+        ReplayRow row;
+        for (std::size_t c = 0; c < names.size(); ++c) {
+            predictors.push_back(makePredictor(names[c]));
+            row.addColumn(*predictors[c], sessions[c]);
+        }
+        return row.plan().laneCount();
+    };
+    EXPECT_EQ(lanes({"PPM-hyb", "PPM-PIB", "PPM-hyb-biased"}), 2u);
+    EXPECT_EQ(lanes(figure7Predictors()), 4u);
+    EXPECT_EQ(lanes({"BTB", "BTB2b"}), 0u);
+    EXPECT_EQ(lanes({}), 0u);
+}
+
+TEST(ReplayRowDeathTest, LaneColumnsMustMatchTheirRowsHistory)
+{
+    // A column at record 4500 whose registers are cold.  A row that
+    // starts past record 0 cannot seed lanes for it at all; a row at
+    // record 0 can, and (in checked builds) its lanes hold the trace's
+    // history at 4500, which the column's registers contradict.
+    const auto &records = sharedTrace().records();
+    auto donor = makePredictor("PPM-hyb");
+    ReplaySession session;
+    trace::TraceBuffer source = sharedTrace();
+    ASSERT_EQ(session.run(source, *donor, 4500), 4500u);
+    auto cold = makePredictor("PPM-hyb");
+    ReplayRow late;
+    late.restart(100);
+    EXPECT_DEATH(late.addColumn(*cold, session),
+                 "ahead of a row that does not start at record 0");
+#ifndef IBP_CHECKED_TABLES
+    GTEST_SKIP() << "the lane join check is compiled into checked "
+                    "builds only";
+#else
+    ReplayRow row;
+    row.addColumn(*cold, session);
+    EXPECT_DEATH(row.feed(records.data(), records.size()),
+                 "differ from its row's history lane");
+#endif
 }
 
 TEST(ReplayPlan, SuffixesCountTheChunksTail)

@@ -1018,7 +1018,8 @@ class Linter
         static const std::set<std::string> markers = {
             "DirectTable",   "AssocTable",    "FlatMap",
             "ShiftHistory",  "SymbolHistory", "FoldedHistory",
-            "SfsxsWord",     "TargetEntry",   "array",
+            "SfsxsWord",     "SfsxsHistory",  "TargetEntry",
+            "array",
         };
         for (const std::string &t : member.typeTokens)
             if (markers.count(t))
