@@ -112,6 +112,8 @@ BENCHMARK_CAPTURE(lineupRow, fig6, ibp::sim::figure6Predictors())
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(lineupRow, fig7, ibp::sim::figure7Predictors())
     ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(lineupRow, all, ibp::sim::allPredictors())
+    ->Unit(benchmark::kMillisecond);
 
 #define PREDICTOR_BENCH(tag, name)                                     \
     static void BM_##tag(benchmark::State &state)                      \

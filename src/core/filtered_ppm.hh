@@ -48,23 +48,28 @@ class FilteredPpm final : public pred::IndirectPredictor
     pred::Prediction
     predictAndUpdate(trace::Addr pc, trace::Addr target) override
     {
-        return predictAndUpdateOn(ppm_.words(), pc, target);
+        const pred::PathWords words = ppm_.words();
+        return predictAndUpdateOn(pc, target, words.pb, words.pib);
     }
 
-    /** predictAndUpdate() on the inner PPM's register words @p words,
-     *  which a replay row's history lanes hold for this record. */
+    /** predictAndUpdate() on the inner PPM's PB and PIB words @p pb
+     *  and @p pib, which a replay row's history lanes hold for this
+     *  record. */
     pred::Prediction
-    predictAndUpdateOn(const pred::PathWords &words, trace::Addr pc,
-                       trace::Addr target)
+    predictAndUpdateOn(trace::Addr pc, trace::Addr target,
+                       std::uint64_t pb, std::uint64_t pib)
     {
-        const pred::Prediction predicted = predictOn(words, pc);
+        const pred::Prediction predicted = predictOn({pb, pib}, pc);
         FilteredPpm::update(pc, target);
         return predicted;
     }
 
     /** The inner PPM's PB and PIB registers (see PpmPredictor). */
-    SfsxsHistory &pbRegister() { return ppm_.pbRegister(); }
-    SfsxsHistory &pibRegister() { return ppm_.pibRegister(); }
+    std::tuple<SfsxsHistory &, SfsxsHistory &>
+    historyRegisters()
+    {
+        return ppm_.historyRegisters();
+    }
 
     void observe(const trace::BranchRecord &record) override;
     std::uint64_t storageBits() const override;

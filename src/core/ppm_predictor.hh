@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "predictors/path_history.hh"
 #include "predictors/predictor.hh"
@@ -90,17 +91,17 @@ class PpmPredictor final : public pred::IndirectPredictor
     pred::Prediction
     predictAndUpdate(trace::Addr pc, trace::Addr target) override
     {
-        return predictAndUpdateOn(words(), pc, target);
+        return predictAndUpdateOn(pc, target, pb_.value(), pib_.value());
     }
 
-    /** predictAndUpdate() on the register words @p words, which a
-     *  replay row's history lanes hold for this record, instead of on
-     *  the registers' own. */
+    /** predictAndUpdate() on the PB and PIB words @p pb and @p pib,
+     *  which a replay row's history lanes hold for this record,
+     *  instead of on the registers' own. */
     pred::Prediction
-    predictAndUpdateOn(const pred::PathWords &words, trace::Addr pc,
-                       trace::Addr target)
+    predictAndUpdateOn(trace::Addr pc, trace::Addr target,
+                       std::uint64_t pb, std::uint64_t pib)
     {
-        const pred::Prediction prediction = predictOn(words, pc);
+        const pred::Prediction prediction = predictOn({pb, pib}, pc);
         PpmPredictor::update(pc, target);
         return prediction;
     }
@@ -117,10 +118,14 @@ class PpmPredictor final : public pred::IndirectPredictor
         pib_.observe(record);
     }
 
-    /** The PB and PIB registers: a replay row keys its history lanes
-     *  on them and copies the lanes' state back in after each chunk. */
-    SfsxsHistory &pbRegister() { return pb_; }
-    SfsxsHistory &pibRegister() { return pib_; }
+    /** The PB and PIB registers, in predictAndUpdateOn()'s word
+     *  order: a replay row keys its history lanes on them and copies
+     *  the lanes' state back in after each chunk. */
+    std::tuple<SfsxsHistory &, SfsxsHistory &>
+    historyRegisters()
+    {
+        return std::tie(pb_, pib_);
+    }
 
     /** The register words predict() reads. */
     pred::PathWords words() const { return {pb_.value(), pib_.value()}; }

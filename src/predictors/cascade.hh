@@ -37,8 +37,8 @@ struct CascadeConfig
     DpathConfig main{
         // Tagged 4-way PHTs, path lengths 6 and 4, 960 entries each:
         // with the 128-entry filter this is the paper's 2K budget.
-        {960, 24, 4, StreamSel::MtIndirect, true, 4, 12},
-        {960, 24, 6, StreamSel::MtIndirect, true, 4, 12},
+        {960, 24, 4, true, 4, 12},
+        {960, 24, 6, true, 4, 12},
         1024,
     };
 };
@@ -67,13 +67,6 @@ class Cascade final : public IndirectPredictor
     }
 
     void observe(const trace::BranchRecord &record) override;
-
-    /** Only the main Dpath keeps history; the filter has none. */
-    bool
-    observesOnlyPredicted() const override
-    {
-        return main_.observesOnlyPredicted();
-    }
 
     void snapshotProbes(obs::ProbeRegistry &registry) const override;
     std::uint64_t storageBits() const override;

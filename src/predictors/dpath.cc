@@ -7,7 +7,8 @@ namespace ibp::pred {
 
 PathComponent::PathComponent(const PathComponentConfig &config)
     : config_(config),
-      history_(config.historyBits, config.bitsPerTarget, config.stream),
+      history_(config.historyBits, config.bitsPerTarget,
+               StreamSel::MtIndirect),
       direct_(config.tagged ? 1 : config.entries),
       assoc_(config.tagged ? std::max<std::size_t>(
                                  1, config.entries / config.ways)
@@ -112,7 +113,8 @@ PathComponent::update(trace::Addr target, bool allocate)
 void
 PathComponent::observe(const trace::BranchRecord &record)
 {
-    history_.observe(record);
+    if (record.isPredictedIndirect())
+        history_.push(record);
 }
 
 std::uint64_t

@@ -32,7 +32,6 @@ struct PathComponentConfig
     std::size_t entries = 1024;
     unsigned historyBits = 24;
     unsigned bitsPerTarget = 24; ///< path length = history/bitsPerTarget
-    StreamSel stream = StreamSel::MtIndirect;
     bool tagged = false;
     std::size_t ways = 4;  ///< associativity when tagged
     unsigned tagBits = 12; ///< tag width when tagged
@@ -94,10 +93,8 @@ class PathComponent
 /** Dual-path hybrid configuration. */
 struct DpathConfig
 {
-    PathComponentConfig shortPath{
-        1024, 24, 24, StreamSel::MtIndirect, false, 4, 12};
-    PathComponentConfig longPath{
-        1024, 24, 8, StreamSel::MtIndirect, false, 4, 12};
+    PathComponentConfig shortPath{1024, 24, 24, false, 4, 12};
+    PathComponentConfig longPath{1024, 24, 8, false, 4, 12};
     std::size_t selectorEntries = 1024;
 };
 
@@ -123,13 +120,6 @@ class Dpath final : public IndirectPredictor
     }
 
     void observe(const trace::BranchRecord &record) override;
-
-    bool
-    observesOnlyPredicted() const override
-    {
-        return short_.history().stream() == StreamSel::MtIndirect &&
-               long_.history().stream() == StreamSel::MtIndirect;
-    }
 
     std::uint64_t storageBits() const override;
     void reset() override;

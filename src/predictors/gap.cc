@@ -6,7 +6,8 @@ namespace ibp::pred {
 
 Gap::Gap(const GapConfig &config, std::string name)
     : config_(config), name_(std::move(name)),
-      history_(config.historyBits, config.bitsPerTarget, config.stream)
+      history_(config.historyBits, config.bitsPerTarget,
+               StreamSel::MtIndirect)
 {
     fatal_if(config.numPhts == 0, "GAp needs at least one PHT");
     fatal_if(config.entriesPerPht == 0, "GAp needs non-empty PHTs");

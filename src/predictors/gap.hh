@@ -30,7 +30,6 @@ struct GapConfig
     std::size_t entriesPerPht = 1024;
     unsigned historyBits = 10;      ///< PHR width
     unsigned bitsPerTarget = 2;     ///< symbol width shifted per branch
-    StreamSel stream = StreamSel::MtIndirect;
 };
 
 /** Two-level GAp predictor with gshare indexing.  Final, and on the
@@ -57,16 +56,12 @@ class Gap final : public IndirectPredictor
         return prediction;
     }
 
+    /** The register records the predicted (PIB) stream. */
     void
     observe(const trace::BranchRecord &record) override
     {
-        history_.observe(record);
-    }
-
-    bool
-    observesOnlyPredicted() const override
-    {
-        return history_.stream() == StreamSel::MtIndirect;
+        if (record.isPredictedIndirect())
+            history_.push(record);
     }
 
     std::uint64_t storageBits() const override;

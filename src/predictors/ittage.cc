@@ -9,7 +9,7 @@ namespace ibp::pred {
 
 Ittage::Ittage(const IttageConfig &config, std::string name)
     : config_(config), name_(std::move(name)),
-      histLens_(), history_(1, 1, config.stream),
+      histLens_(), history_(1, 1, StreamSel::MtIndirect),
       base_(config.baseEntries)
 {
     fatal_if(config.baseEntries == 0, "ITTAGE needs a base table");
@@ -47,7 +47,7 @@ Ittage::Ittage(const IttageConfig &config, std::string name)
     }
 
     history_ = SymbolHistory(histLens_.back(), config.bitsPerTarget,
-                             config.stream);
+                             StreamSel::MtIndirect);
 
     const unsigned indexBits =
         std::max(2u, util::log2Ceil(config.entriesPerComponent));

@@ -48,7 +48,6 @@ struct IttageConfig
     unsigned minHistory = 2;             ///< symbols, shortest component
     unsigned maxHistory = 64;            ///< symbols, longest component
     unsigned bitsPerTarget = 4;          ///< path-symbol width
-    StreamSel stream = StreamSel::MtIndirect;
 };
 
 /** One tagged-component line: full target, partial tag, a 2-bit
@@ -160,19 +159,13 @@ class Ittage final : public IndirectPredictor
     Prediction predictAndUpdate(trace::Addr pc,
                                 trace::Addr target) override;
 
-    /** Off-stream records (most of them) return here, inlined into
-     *  the replay loop; in-stream ones advance every fold. */
+    /** The history records the predicted (PIB) stream: a predicted
+     *  record advances every fold, any other returns here. */
     void
     observe(const trace::BranchRecord &record) override
     {
-        if (inStream(config_.stream, record))
+        if (record.isPredictedIndirect())
             advanceHistories(record);
-    }
-
-    bool
-    observesOnlyPredicted() const override
-    {
-        return config_.stream == StreamSel::MtIndirect;
     }
 
     std::uint64_t storageBits() const override;

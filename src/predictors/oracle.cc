@@ -22,8 +22,7 @@ mix(std::uint64_t h, std::uint64_t v)
 Oracle::Oracle(const OracleConfig &config, std::string name)
     : config_(config),
       name_(name.empty()
-                ? std::string("Oracle-") + streamName(config.stream) +
-                      "@" + std::to_string(config.pathLength)
+                ? "Oracle-PIB@" + std::to_string(config.pathLength)
                 : std::move(name))
 {
     fatal_if(config.pathLength == 0, "oracle needs path length >= 1");
@@ -59,7 +58,7 @@ Oracle::update(trace::Addr pc, trace::Addr target)
 void
 Oracle::observe(const trace::BranchRecord &record)
 {
-    if (!inStream(config_.stream, record))
+    if (!record.isPredictedIndirect())
         return;
     window_.push_back(record.target);
     if (window_.size() > config_.pathLength)

@@ -18,7 +18,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "predictors/path_history.hh"
 #include "predictors/predictor.hh"
 
 namespace ibp::pred {
@@ -26,9 +25,8 @@ namespace ibp::pred {
 /** Oracle configuration. */
 struct OracleConfig
 {
-    unsigned pathLength = 8;                   ///< full targets kept
-    StreamSel stream = StreamSel::MtIndirect;
-    bool usePc = true; ///< include the branch pc in the context
+    unsigned pathLength = 8; ///< full PIB targets kept
+    bool usePc = true;       ///< include the branch pc in the context
 };
 
 /** Infinite-table exact-context predictor. */
@@ -41,12 +39,6 @@ class Oracle : public IndirectPredictor
     Prediction predict(trace::Addr pc) override;
     void update(trace::Addr pc, trace::Addr target) override;
     void observe(const trace::BranchRecord &record) override;
-
-    bool
-    observesOnlyPredicted() const override
-    {
-        return config_.stream == StreamSel::MtIndirect;
-    }
 
     /** Unbounded; reports the current table footprint. */
     std::uint64_t storageBits() const override;

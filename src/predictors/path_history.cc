@@ -9,7 +9,6 @@ streamName(StreamSel stream)
       case StreamSel::AllBranches:  return "PB";
       case StreamSel::AllIndirect:  return "IND";
       case StreamSel::MtIndirect:   return "PIB";
-      case StreamSel::CallsReturns: return "CR";
     }
     return "?";
 }

@@ -37,7 +37,6 @@ enum class StreamSel : std::uint8_t
     AllBranches,  ///< every branch (PB path)
     AllIndirect,  ///< jmp + jsr + ret
     MtIndirect,   ///< multi-target jmp + jsr (PIB path)
-    CallsReturns, ///< jsr + ret
 };
 
 /** Printable stream name. */
@@ -50,19 +49,13 @@ const char *streamName(StreamSel stream);
 constexpr bool
 inStream(StreamSel stream, const trace::BranchRecord &record)
 {
-    using trace::BranchKind;
     switch (stream) {
       case StreamSel::AllBranches:
         return true;
       case StreamSel::AllIndirect:
         return trace::isIndirect(record.kind);
       case StreamSel::MtIndirect:
-        return record.multiTarget &&
-               (record.kind == BranchKind::IndirectJmp ||
-                record.kind == BranchKind::IndirectCall);
-      case StreamSel::CallsReturns:
-        return record.kind == BranchKind::IndirectCall ||
-               record.kind == BranchKind::Return;
+        return record.isPredictedIndirect();
     }
     return false;
 }
@@ -81,10 +74,9 @@ pathSymbol(const trace::BranchRecord &record, unsigned bits)
 
 /**
  * The values of a predictor's PB (all-branch) and PIB (indirect-only)
- * path registers at one record: what predict() reads of them.  A
- * replay row's history lanes (sim::ReplayPlan) hold these per
- * predicted record, so a predictor with lanes predicts on them
- * instead of advancing its own registers record by record.
+ * path registers at one record: what the PPM family's and the
+ * perceptron's predict() read of them, from their own registers or
+ * from a replay row's history lanes (sim::ReplayPlan).
  */
 struct PathWords
 {

@@ -137,14 +137,15 @@ PerceptronIndirect::update(trace::Addr pc, trace::Addr target)
 Prediction
 PerceptronIndirect::predictAndUpdate(trace::Addr pc, trace::Addr target)
 {
-    return predictAndUpdateOn(words(), pc, target);
+    return predictAndUpdateOn(pc, target, pbHistory_.value(),
+                              pibHistory_.value());
 }
 
 Prediction
-PerceptronIndirect::predictAndUpdateOn(const PathWords &words,
-                                       trace::Addr pc, trace::Addr target)
+PerceptronIndirect::predictAndUpdateOn(trace::Addr pc, trace::Addr target,
+                                       std::uint64_t pb, std::uint64_t pib)
 {
-    const Scoring scoring = scoreCandidates(pc, words);
+    const Scoring scoring = scoreCandidates(pc, {pb, pib});
     train(scoring, target);
     return scoring.prediction;
 }

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "util/bitops.hh"
@@ -73,11 +74,11 @@ class PerceptronIndirect final : public IndirectPredictor
     Prediction predictAndUpdate(trace::Addr pc,
                                 trace::Addr target) override;
 
-    /** predictAndUpdate() on the register values @p words, which a
-     *  replay row's history lanes hold for this record, instead of on
-     *  the registers' own. */
-    Prediction predictAndUpdateOn(const PathWords &words, trace::Addr pc,
-                                  trace::Addr target);
+    /** predictAndUpdate() on the PB and PIB register values @p pb and
+     *  @p pib, which a replay row's history lanes hold for this
+     *  record, instead of on the registers' own. */
+    Prediction predictAndUpdateOn(trace::Addr pc, trace::Addr target,
+                                  std::uint64_t pb, std::uint64_t pib);
 
     void
     observe(const trace::BranchRecord &record) override
@@ -86,10 +87,14 @@ class PerceptronIndirect final : public IndirectPredictor
         pbHistory_.observe(record);
     }
 
-    /** The PB and PIB registers: a replay row keys its history lanes
-     *  on them and copies the lanes' state back in after each chunk. */
-    ShiftHistory &pbRegister() { return pbHistory_; }
-    ShiftHistory &pibRegister() { return pibHistory_; }
+    /** The PB and PIB registers, in predictAndUpdateOn()'s word
+     *  order: a replay row keys its history lanes on them and copies
+     *  the lanes' state back in after each chunk. */
+    std::tuple<ShiftHistory &, ShiftHistory &>
+    historyRegisters()
+    {
+        return std::tie(pbHistory_, pibHistory_);
+    }
 
     std::uint64_t storageBits() const override;
     void reset() override;

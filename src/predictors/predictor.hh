@@ -3,16 +3,24 @@
  * The common indirect-branch predictor interface and the shared
  * target-entry update policy.
  *
- * Engine contract (see sim/engine.cc): for every multi-target indirect
- * branch the engine calls predict(pc), then update(pc, actual); for
- * *every* retired branch (including that one) it then calls
- * observe(record), skipping only the records a predictor declares it
- * ignores (wantsObserve(), observesOnlyPredicted()).  update()
+ * Per-record protocol: for every multi-target indirect branch a replay
+ * calls predict(pc), then update(pc, actual); for *every* retired
+ * branch (including that one) it then calls observe(record).  update()
  * therefore always sees the same history state as the predict() it
  * follows, and history registers advance in observe() — which
  * matches the paper's protocol where "the update
  * step starts by shifting the actual target into the PHR" *after* the
  * tables were trained with the pre-shift indices.
+ *
+ * Engine contract (see sim/engine.cc): the replay engine runs that
+ * protocol at the predicted records only, and calls observe() there
+ * and nowhere else (not at all when wantsObserve() is false).  A
+ * predictor whose history reads other records takes history lanes
+ * instead: it lists its registers in historyRegisters(), predicts on
+ * the lanes' words in predictAndUpdateOn(), and is on the engine's
+ * devirtualized type list, where a replay row folds each register
+ * once per chunk (sim::ReplayRow).  The Target Cache, the PPM family,
+ * Filtered-PPM and the perceptron do so.
  */
 
 #ifndef IBP_PREDICTORS_PREDICTOR_HH_
@@ -100,7 +108,11 @@ class IndirectPredictor
         return prediction;
     }
 
-    /** Observe every retired branch (advances path histories). */
+    /**
+     * Observe a retired branch (advances path histories).  The
+     * per-record protocol calls it for every record; the replay engine
+     * only for the predicted ones (see the engine contract above).
+     */
     virtual void observe(const trace::BranchRecord &record) = 0;
 
     /**
@@ -110,17 +122,6 @@ class IndirectPredictor
      * call; overriding it never changes any prediction.
      */
     virtual bool wantsObserve() const { return true; }
-
-    /**
-     * True iff observe() can change state only on predicted records
-     * (multi-target jmp/jsr): the predictor's histories all record the
-     * StreamSel::MtIndirect stream.  The engine then observes only the
-     * records it predicts and skips the ones in between; like
-     * wantsObserve(), overriding it never changes any prediction
-     * (checked for every factory predictor by
-     * tests/test_predictor_properties.cc).
-     */
-    virtual bool observesOnlyPredicted() const { return false; }
 
     /**
      * Copy this predictor's probe values into @p registry under

@@ -18,7 +18,7 @@ TargetCache::TargetCache(const TargetCacheConfig &config, std::string name)
 Prediction
 TargetCache::predict(trace::Addr pc)
 {
-    lastIndex = indexFor(pc);
+    lastIndex = indexFor(pc, history_.value());
     const Entry &entry = table_.at(lastIndex);
     return {entry.valid, entry.target};
 }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "util/table.hh"
 #include "predictors/path_history.hh"
@@ -48,7 +49,17 @@ class TargetCache final : public IndirectPredictor
     Prediction
     predictAndUpdate(trace::Addr pc, trace::Addr target) override
     {
-        lastIndex = indexFor(pc);
+        return predictAndUpdateOn(pc, target, history_.value());
+    }
+
+    /** predictAndUpdate() on the register value @p history, which a
+     *  replay row's history lane holds for this record, instead of on
+     *  the register's own. */
+    Prediction
+    predictAndUpdateOn(trace::Addr pc, trace::Addr target,
+                       std::uint64_t history)
+    {
+        lastIndex = indexFor(pc, history);
         Entry &entry = table_.at(lastIndex);
         const Prediction prediction{entry.valid, entry.target};
         entry.valid = true;
@@ -62,10 +73,12 @@ class TargetCache final : public IndirectPredictor
         history_.observe(record);
     }
 
-    bool
-    observesOnlyPredicted() const override
+    /** The path register: a replay row keys its history lane on it and
+     *  copies the lane's state back in after each chunk. */
+    std::tuple<ShiftHistory &>
+    historyRegisters()
     {
-        return history_.stream() == StreamSel::MtIndirect;
+        return std::tie(history_);
     }
 
     std::uint64_t storageBits() const override;
@@ -91,9 +104,9 @@ class TargetCache final : public IndirectPredictor
     };
 
     std::uint64_t
-    indexFor(trace::Addr pc) const
+    indexFor(trace::Addr pc, std::uint64_t history) const
     {
-        return table_.reduce((pc >> 2) ^ history_.value());
+        return table_.reduce((pc >> 2) ^ history);
     }
 
     TargetCacheConfig config_;

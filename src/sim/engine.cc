@@ -1,6 +1,7 @@
 #include "sim/engine.hh"
 
 #include <algorithm>
+#include <array>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -22,35 +23,32 @@ namespace ibp::sim {
 namespace {
 
 /**
- * True for the predictors that take history lanes: their PB and PIB
- * registers are read only through predictAndUpdateOn(), so a row folds
- * them once per chunk in its plan (ReplayPlan::addLane()) and the
- * column replays only its predicted records.
+ * True for the predictors that take history lanes: the registers
+ * historyRegisters() lists are read only through predictAndUpdateOn(),
+ * which takes their values in that order, so a row folds them once per
+ * chunk in its plan (ReplayPlan::addLane()) and the column never
+ * observes a record.
  */
 template <typename Predictor>
-concept TakesLanes = requires(Predictor &predictor,
-                              const pred::PathWords &words) {
-    predictor.pbRegister();
-    predictor.pibRegister();
-    predictor.predictAndUpdateOn(words, trace::Addr{}, trace::Addr{});
+concept TakesLanes = requires(Predictor &predictor) {
+    predictor.historyRegisters();
 };
 
 /**
  * The replay loop, templated on the concrete predictor type.  For the
  * hot predictor classes (see withHotType()) the compiler
  * devirtualizes and inlines predictAndUpdate()/observe() straight into
- * the loop; instantiated with the base class it degrades to exactly
- * one virtual call per predicted branch and one per observed record.
+ * the loop; instantiated with the base class it degrades to one
+ * virtual predictAndUpdate() and one observe() per predicted branch.
  *
- * The plan already holds the predicted offsets, so the loop jumps from
- * one predicted record to the next: it runs predict -> update ->
- * observe there, and in between it observes the records a predictor's
- * history can see — none when observe() is a no-op, none when
- * observe() only reacts to predicted records, every one otherwise —
- * with no kind branch and no RAS work.  A predictor that takes lanes
- * observes nothing: it predicts on the lanes' register words instead.
- * The per-record protocol is the same in trace order, so metrics are
- * bit-identical across instantiations, observe scopes and chunkings.
+ * The plan already holds the predicted offsets, so the loop visits
+ * only the predicted records, with no kind branch and no RAS work: it
+ * runs predict -> update there, on the lanes' register words for a
+ * predictor that takes lanes, and observe() for any other (unless
+ * wantsObserve() is false).  The records in between change no
+ * predictor's state here: a history that reads them is a lane's.  So
+ * metrics and state are bit-identical to the per-record protocol
+ * across instantiations and chunkings.
  */
 template <typename Predictor>
 inline void
@@ -59,40 +57,42 @@ replayPlanned(const ReplayPlan &plan, std::size_t from, bool per_site,
 {
     constexpr bool lanes = TakesLanes<Predictor>;
     const trace::BranchRecord *span = plan.records();
-    const std::size_t n = plan.size();
     const bool observes = !lanes && predictor.wantsObserve();
-    const bool gaps = observes && !predictor.observesOnlyPredicted();
-
     const std::uint32_t *first = plan.predictedFrom(from);
     const std::uint32_t *last = plan.predictedEnd();
-    [[maybe_unused]] const std::uint64_t *pb_words = nullptr;
-    [[maybe_unused]] const std::uint64_t *pib_words = nullptr;
-    if constexpr (lanes) {
-        const auto k = static_cast<std::size_t>(first - plan.predictedBegin());
-        pb_words = plan.lane(predictor.pbRegister()).words() + k;
-        pib_words = plan.lane(predictor.pibRegister()).words() + k;
-    }
+    // The lane words of the column's registers from the first
+    // predicted record on, in historyRegisters() order.
+    [[maybe_unused]] const auto words = [&] {
+        if constexpr (lanes) {
+            const auto k =
+                static_cast<std::size_t>(first - plan.predictedBegin());
+            return std::apply(
+                [&](auto &...regs) {
+                    return std::array{(plan.lane(regs).words() + k)...};
+                },
+                predictor.historyRegisters());
+        } else {
+            return std::array<const std::uint64_t *, 0>{};
+        }
+    }();
     // Counted in registers: the predictor calls cannot clobber them.
     std::uint64_t misses = 0;
     std::uint64_t abstentions = 0;
-    std::size_t next = from; // the next record a gap observer sees
-    for (const std::uint32_t *it = first;; ++it) {
-        // A predicted record is observed as the head of the gap that
-        // follows it, so observe() has one call site per scope.
-        const std::size_t stop = it == last ? n : *it;
-        if (gaps)
-            for (; next < stop; ++next)
-                predictor.observe(span[next]);
-        if (it == last)
-            break;
+    for (const std::uint32_t *it = first; it != last; ++it) {
         const trace::BranchRecord &record = span[*it];
         pred::Prediction prediction;
-        if constexpr (lanes)
-            prediction = predictor.predictAndUpdateOn(
-                {*pb_words++, *pib_words++}, record.pc, record.target);
-        else
+        if constexpr (lanes) {
+            const auto j = static_cast<std::size_t>(it - first);
+            prediction = std::apply(
+                [&](const auto *...lane) {
+                    return predictor.predictAndUpdateOn(
+                        record.pc, record.target, lane[j]...);
+                },
+                words);
+        } else {
             prediction =
                 predictor.predictAndUpdate(record.pc, record.target);
+        }
         const bool miss = !prediction.hit(record.target);
         misses += miss;
         abstentions += !prediction.valid;
@@ -101,12 +101,12 @@ replayPlanned(const ReplayPlan &plan, std::size_t from, bool per_site,
             site.misses.sample(miss);
             site.lastTarget = record.target;
         }
-        if (observes && !gaps)
+        if (observes)
             predictor.observe(record);
     }
 
     const auto predicted = static_cast<std::uint64_t>(last - first);
-    metrics.branches += n - from;
+    metrics.branches += plan.size() - from;
     metrics.mtIndirect += predicted;
     metrics.indirectMisses.add(misses, predicted);
     metrics.noPrediction.add(abstentions, predicted);
@@ -378,10 +378,10 @@ ReplaySession::feed(const ReplayPlan &plan, std::size_t from,
         replayPlanned(plan, from, config_.perSiteStats, concrete,
                       metrics_);
         if constexpr (TakesLanes<std::remove_reference_t<
-                          decltype(concrete)>>) {
-            takeLane(plan, from, concrete.pbRegister());
-            takeLane(plan, from, concrete.pibRegister());
-        }
+                          decltype(concrete)>>)
+            std::apply(
+                [&](auto &...regs) { (takeLane(plan, from, regs), ...); },
+                concrete.historyRegisters());
     });
     ras_ = plan.ras();
     metrics_.returnMisses.merge(plan.returnsFrom(from));
@@ -490,8 +490,8 @@ ReplayRow::addColumn(pred::IndirectPredictor &predictor,
                     reg.reset();
                 plan_.addLane(reg);
             };
-            add(concrete.pbRegister());
-            add(concrete.pibRegister());
+            std::apply([&](const auto &...regs) { (add(regs), ...); },
+                       concrete.historyRegisters());
         }
     });
     columns_.push_back(Column{&predictor, &session});

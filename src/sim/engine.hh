@@ -244,9 +244,10 @@ class ReplaySession;
  * count, so a column resumed from a snapshot skips the chunks and the
  * part of a chunk it already replayed.  The plan holds one history
  * lane per distinct path-register geometry among the columns that
- * take lanes (the PPM family, Filtered-PPM and the perceptron), so a
- * row folds each history once per chunk however many columns read
- * it.  A timed row also times the plan pass and each column's replay.
+ * take lanes (the Target Cache, the PPM family, Filtered-PPM and the
+ * perceptron), so a row folds each history once per chunk however
+ * many columns read it, and no column observes the records between
+ * its predicted ones.  A timed row also times the plan pass and each column's replay.
  */
 class ReplayRow
 {

@@ -48,10 +48,8 @@ paperDpath(double scale)
 {
     pred::DpathConfig config;
     // Tagless 1K-entry PHTs, 24-bit registers, path lengths 1 and 3.
-    config.shortPath = {scaled(1024, scale), 24, 24,
-                        pred::StreamSel::MtIndirect, false, 4, 12};
-    config.longPath = {scaled(1024, scale), 24, 8,
-                       pred::StreamSel::MtIndirect, false, 4, 12};
+    config.shortPath = {scaled(1024, scale), 24, 24, false, 4, 12};
+    config.longPath = {scaled(1024, scale), 24, 8, false, 4, 12};
     config.selectorEntries = 1024;
     return config;
 }
@@ -65,10 +63,8 @@ paperCascade(double scale, pred::FilterMode mode)
     // (2176 total with the filter, ~6% over the 2K budget — erring in
     // Cascade's favour keeps the headline comparison conservative;
     // power-of-two sets also keep the interleaved index partitioned).
-    config.main.shortPath = {scaled(1024, scale, 4), 24, 6,
-                             pred::StreamSel::MtIndirect, true, 4, 12};
-    config.main.longPath = {scaled(1024, scale, 4), 24, 4,
-                            pred::StreamSel::MtIndirect, true, 4, 12};
+    config.main.shortPath = {scaled(1024, scale, 4), 24, 6, true, 4, 12};
+    config.main.longPath = {scaled(1024, scale, 4), 24, 4, true, 4, 12};
     config.main.selectorEntries = 1024;
     return config;
 }
@@ -88,7 +84,6 @@ paperIttage(double scale)
     config.minHistory = 2;
     config.maxHistory = 64;
     config.bitsPerTarget = 4;
-    config.stream = pred::StreamSel::MtIndirect;
     return config;
 }
 
@@ -124,7 +119,6 @@ makePredictor(std::string_view name, const FactoryOptions &options)
         config.entriesPerPht = scaled(1024, s);
         config.historyBits = 10;
         config.bitsPerTarget = 2;
-        config.stream = pred::StreamSel::MtIndirect;
         return std::make_unique<pred::Gap>(config);
     }
 
@@ -233,7 +227,6 @@ makePredictor(std::string_view name, const FactoryOptions &options)
                                         .size())));
         pred::OracleConfig config;
         config.pathLength = static_cast<unsigned>(k);
-        config.stream = pred::StreamSel::MtIndirect;
         return std::make_unique<pred::Oracle>(config);
     }
 

@@ -82,7 +82,7 @@ struct BranchRecord
      * RAS) and single-target sites are excluded (GOT/DLL stubs the
      * paper removes via link-time optimization arguments).
      */
-    bool
+    constexpr bool
     isPredictedIndirect() const
     {
         return multiTarget && (kind == BranchKind::IndirectJmp ||

@@ -29,10 +29,8 @@ smallCascade(FilterMode mode = FilterMode::Leaky)
 {
     CascadeConfig config;
     config.filter = {16, 4, mode};
-    config.main.shortPath = {64, 24, 6, StreamSel::MtIndirect, true, 4,
-                             12};
-    config.main.longPath = {64, 24, 4, StreamSel::MtIndirect, true, 4,
-                            12};
+    config.main.shortPath = {64, 24, 6, true, 4, 12};
+    config.main.longPath = {64, 24, 4, true, 4, 12};
     config.main.selectorEntries = 64;
     return config;
 }

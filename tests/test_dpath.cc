@@ -32,13 +32,13 @@ mtJmp(ibp::trace::Addr pc, ibp::trace::Addr target)
 PathComponentConfig
 taglessConfig()
 {
-    return {64, 24, 8, StreamSel::MtIndirect, false, 4, 12};
+    return {64, 24, 8, false, 4, 12};
 }
 
 PathComponentConfig
 taggedConfig()
 {
-    return {64, 24, 8, StreamSel::MtIndirect, true, 4, 12};
+    return {64, 24, 8, true, 4, 12};
 }
 
 TEST(PathComponent, TaglessColdMiss)
@@ -110,8 +110,8 @@ DpathConfig
 smallDpath()
 {
     DpathConfig config;
-    config.shortPath = {64, 24, 24, StreamSel::MtIndirect, false, 4, 12};
-    config.longPath = {64, 24, 8, StreamSel::MtIndirect, false, 4, 12};
+    config.shortPath = {64, 24, 24, false, 4, 12};
+    config.longPath = {64, 24, 8, false, 4, 12};
     config.selectorEntries = 64;
     return config;
 }

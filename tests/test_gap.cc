@@ -32,7 +32,6 @@ smallConfig()
     config.entriesPerPht = 64;
     config.historyBits = 10;
     config.bitsPerTarget = 2;
-    config.stream = StreamSel::MtIndirect;
     return config;
 }
 

@@ -43,7 +43,6 @@ smallConfig()
     config.minHistory = 2;
     config.maxHistory = 8;
     config.bitsPerTarget = 4;
-    config.stream = StreamSel::MtIndirect;
     return config;
 }
 

@@ -212,12 +212,15 @@ TEST(FusedRegressionProfiles, EngineFastPathsMatchSplitReplay)
     // expose a divergence between the fused fast paths (slot caching,
     // LUT hashing, reused lookups and feature hashes) and the plain
     // split protocol: they were selected for perverse target churn
-    // and ranking sensitivity.  One predictor per devirtualized type.
+    // and ranking sensitivity.  One predictor per devirtualized type,
+    // and every Target Cache stream, whose PB and IND lanes fold
+    // records the engine does not predict.
     const auto paths = committedProfiles();
     ASSERT_FALSE(paths.empty());
     const std::vector<std::string> fused_predictors = {
-        "BTB",   "BTB2b",   "GAp",          "TC-PIB", "PPM-hyb",
-        "Dpath", "Cascade", "Filtered-PPM", "ITTAGE", "Perceptron",
+        "BTB",     "BTB2b",   "GAp",     "TC-PIB",       "TC-PB",
+        "TC-IND",  "PPM-hyb", "Dpath",   "Cascade",      "Filtered-PPM",
+        "ITTAGE",  "Perceptron",
     };
     for (const fs::path &path : paths) {
         const BenchmarkProfile profile =

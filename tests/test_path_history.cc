@@ -58,22 +58,11 @@ TEST(StreamMembership, AllIndirect)
                           record(BranchKind::UncondDirect, 0x10)));
 }
 
-TEST(StreamMembership, CallsReturns)
-{
-    EXPECT_TRUE(inStream(StreamSel::CallsReturns,
-                         record(BranchKind::IndirectCall, 0x10)));
-    EXPECT_TRUE(inStream(StreamSel::CallsReturns,
-                         record(BranchKind::Return, 0x10)));
-    EXPECT_FALSE(inStream(StreamSel::CallsReturns,
-                          record(BranchKind::IndirectJmp, 0x10)));
-}
-
 TEST(StreamNames, Stable)
 {
     EXPECT_STREQ(streamName(StreamSel::AllBranches), "PB");
     EXPECT_STREQ(streamName(StreamSel::MtIndirect), "PIB");
     EXPECT_STREQ(streamName(StreamSel::AllIndirect), "IND");
-    EXPECT_STREQ(streamName(StreamSel::CallsReturns), "CR");
 }
 
 TEST(PathSymbol, SkipsAlignmentBits)

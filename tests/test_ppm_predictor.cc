@@ -225,8 +225,9 @@ TEST(PpmPredictor, RegistersRecordTheirConfiguredStreams)
     // record, for every PB/PIB stream pairing and branch class.
     using ibp::pred::StreamSel;
     const StreamSel streams[] = {
-        StreamSel::AllBranches, StreamSel::AllIndirect,
-        StreamSel::MtIndirect, StreamSel::CallsReturns,
+        StreamSel::AllBranches,
+        StreamSel::AllIndirect,
+        StreamSel::MtIndirect,
     };
     for (StreamSel pb : streams) {
         for (StreamSel pib : streams) {
@@ -244,10 +245,11 @@ TEST(PpmPredictor, RegistersRecordTheirConfiguredStreams)
                     r.target = 0x1234; // a symbol with a non-zero fold
                     PpmPredictor ppm(config);
                     ppm.observe(r);
-                    EXPECT_EQ(ppm.pbRegister().value() != 0,
+                    const auto [pb_reg, pib_reg] = ppm.historyRegisters();
+                    EXPECT_EQ(pb_reg.value() != 0,
                               ibp::pred::inStream(pb, r))
                         << "PB kind " << kind << " mt " << multi_target;
-                    EXPECT_EQ(ppm.pibRegister().value() != 0,
+                    EXPECT_EQ(pib_reg.value() != 0,
                               ibp::pred::inStream(pib, r))
                         << "PIB kind " << kind << " mt " << multi_target;
                 }

@@ -41,6 +41,16 @@ class PredictorPropertyTest
 {
 };
 
+/** True iff a replay row folds history lanes for @p predictor. */
+bool
+takesLanes(ibp::pred::IndirectPredictor &predictor)
+{
+    ReplaySession session;
+    ReplayRow row;
+    row.addColumn(predictor, session);
+    return row.plan().laneCount() > 0;
+}
+
 TEST_P(PredictorPropertyTest, ColdStartAbstains)
 {
     auto predictor = makePredictor(GetParam());
@@ -330,13 +340,14 @@ TEST_P(PredictorPropertyTest, ResetRestoresColdStateBytes)
 
 TEST_P(PredictorPropertyTest, PredictedOnlyObserveIgnoresOtherRecords)
 {
-    // A predictor that declares observesOnlyPredicted() is observed
-    // only at the records the engine predicts.  That is sound only if
-    // observe() of every other kind leaves its state untouched, from a
-    // warm state (non-zero histories) as well as a cold one.
+    // The replay engine observes a predictor only at the records it
+    // predicts, unless the predictor takes history lanes.  That is
+    // sound only if observe() of every other kind leaves its state
+    // untouched, from a warm state (non-zero histories) as well as a
+    // cold one.
     auto predictor = makePredictor(GetParam());
-    if (!predictor->observesOnlyPredicted())
-        return; // observes every record (or none): nothing skipped
+    if (takesLanes(*predictor))
+        return; // its lanes fold every record of their streams
     ibp::trace::TraceBuffer trace = sharedTrace();
     Engine().run(trace, *predictor);
 
@@ -376,25 +387,30 @@ TEST_P(PredictorPropertyTest, PredictedOnlyObserveIgnoresOtherRecords)
         << "a traced non-predicted record changed the state";
 }
 
-TEST(PredictorObserveScope, DenseReplayNamesArePinned)
+TEST(PredictorObserveScope, LanePredictorNamesArePinned)
 {
-    // The factory names whose replay observes only predicted records,
-    // and those that observe nothing.  A config change that moves a
-    // predictor off either list must show up here.
-    std::vector<std::string> predicted_only;
+    // The factory names whose replay folds their histories in history
+    // lanes, and those that observe nothing.  Every other predictor is
+    // observed at its predicted records only, which
+    // PredictedOnlyObserveIgnoresOtherRecords checks is sound.  A
+    // change that moves a predictor on or off either list must show
+    // up here.
+    std::vector<std::string> lanes;
     std::vector<std::string> unobserved;
     for (const auto &name : allPredictors()) {
         const auto predictor = makePredictor(name);
         if (!predictor->wantsObserve())
             unobserved.push_back(name);
-        else if (predictor->observesOnlyPredicted())
-            predicted_only.push_back(name);
+        if (takesLanes(*predictor))
+            lanes.push_back(name);
     }
     EXPECT_EQ(unobserved, (std::vector<std::string>{"BTB", "BTB2b"}));
-    EXPECT_EQ(predicted_only,
-              (std::vector<std::string>{"GAp", "TC-PIB", "Dpath",
-                                        "Cascade", "Cascade-strict",
-                                        "ITTAGE", "Oracle-PIB@4"}));
+    EXPECT_EQ(lanes,
+              (std::vector<std::string>{
+                  "TC-PIB", "TC-PB", "TC-IND", "PPM-hyb", "PPM-PIB",
+                  "PPM-hyb-biased", "PPM-tagged", "PPM-gshare", "PPM-low",
+                  "PPM-inclusive", "PPM-confidence", "PPM-vote2",
+                  "PPM-vote4", "Filtered-PPM", "Perceptron"}));
 }
 
 // ---------------------------------------------------------------------

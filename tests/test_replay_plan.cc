@@ -4,12 +4,13 @@
  *
  * ReplaySession replays through one loop over a ReplayPlan: the
  * chunk's predicted offsets, one RAS's return outcomes and its state
- * after the chunk.  Between predictions the loop observes every record,
- * only the predicted ones, or none, depending on the predictor's
- * observe scope.  The reference here is the per-record loop the engine
- * ran before plans existed: classify each record, predict+update the
- * MT jmp/jsr ones, pop/push the RAS, observe each record, and close a
- * timeline window at every interval multiple.  Every test compares
+ * after the chunk.  The loop visits the predicted records only; the
+ * predictors whose histories read the others (the Target Caches, the
+ * PPM family, the perceptron) predict on the row's history lanes.  The
+ * reference here is the per-record loop the engine ran before plans
+ * existed: classify each record, predict+update the MT jmp/jsr ones,
+ * pop/push the RAS, observe each record, and close a timeline window
+ * at every interval multiple.  Every test compares
  * RunMetrics, timelines and the saveState()/saveProbes() bytes of
  * sessions and predictors against that reference, over chunkings that
  * straddle trace::kReplayChunk, with per-site stats on, with timeline
@@ -67,8 +68,8 @@ sharedTrace()
     return trace;
 }
 
-/** One predictor per observe scope and per devirtualized type, plus a
- *  generic (virtual-loop) one. */
+/** One predictor per devirtualized type and per history-lane stream,
+ *  plus a generic (virtual-loop) one. */
 const std::vector<std::string> kLineup = {
     "BTB",     "BTB2b",  "GAp",          "TC-PIB",     "TC-PB",
     "Dpath",   "Cascade", "PPM-hyb",     "Filtered-PPM", "ITTAGE",
@@ -330,9 +331,10 @@ TEST(ReplayPlan, ColumnsJoinARowPlanMidChunk)
     const std::vector<std::uint64_t> cursors = {0, 4500, 6000, 7000};
 
     // Every history-lane type joins too: the three PPM variants share
-    // their lanes, the perceptron and Filtered-PPM bring their own.
+    // their lanes, the perceptron and Filtered-PPM bring their own, and
+    // each Target Cache brings one lane on its own stream.
     std::vector<std::string> names = kLineup;
-    names.insert(names.end(), {"PPM-PIB", "PPM-hyb-biased"});
+    names.insert(names.end(), {"PPM-PIB", "PPM-hyb-biased", "TC-IND"});
     for (const auto &name : names) {
         const Reference want = referenceRun(name, config);
         for (std::size_t span : {1u, 7u, 4095u, 4096u, 4097u}) {
@@ -418,7 +420,9 @@ TEST(ReplayRow, ColumnsShareOneLanePerRegisterGeometry)
 {
     // The three PPM variants fold identical PB and PIB registers, so
     // their row tracks two lanes; the perceptron's two shift registers
-    // add two more, and a row of history-free predictors tracks none.
+    // add two more.  The three Target Caches record three streams into
+    // three lanes, TC-PIB adds fig6's fifth, and a row of history-free
+    // predictors tracks none.
     const auto lanes = [](const std::vector<std::string> &names) {
         std::vector<std::unique_ptr<pred::IndirectPredictor>> predictors;
         std::vector<ReplaySession> sessions(names.size());
@@ -430,6 +434,8 @@ TEST(ReplayRow, ColumnsShareOneLanePerRegisterGeometry)
         return row.plan().laneCount();
     };
     EXPECT_EQ(lanes({"PPM-hyb", "PPM-PIB", "PPM-hyb-biased"}), 2u);
+    EXPECT_EQ(lanes({"TC-PIB", "TC-PB", "TC-IND"}), 3u);
+    EXPECT_EQ(lanes(figure6Predictors()), 5u);
     EXPECT_EQ(lanes(figure7Predictors()), 4u);
     EXPECT_EQ(lanes({"BTB", "BTB2b"}), 0u);
     EXPECT_EQ(lanes({}), 0u);
@@ -440,25 +446,31 @@ TEST(ReplayRowDeathTest, LaneColumnsMustMatchTheirRowsHistory)
     // A column at record 4500 whose registers are cold.  A row that
     // starts past record 0 cannot seed lanes for it at all; a row at
     // record 0 can, and (in checked builds) its lanes hold the trace's
-    // history at 4500, which the column's registers contradict.
-    const auto &records = sharedTrace().records();
-    auto donor = makePredictor("PPM-hyb");
-    ReplaySession session;
-    trace::TraceBuffer source = sharedTrace();
-    ASSERT_EQ(session.run(source, *donor, 4500), 4500u);
-    auto cold = makePredictor("PPM-hyb");
-    ReplayRow late;
-    late.restart(100);
-    EXPECT_DEATH(late.addColumn(*cold, session),
-                 "ahead of a row that does not start at record 0");
+    // history at 4500, which the column's registers contradict.  The
+    // Target Caches' PB and IND registers are lanes like the PPM's.
+    for (const std::string name : {"PPM-hyb", "TC-PB", "TC-IND"}) {
+        auto donor = makePredictor(name);
+        ReplaySession session;
+        trace::TraceBuffer source = sharedTrace();
+        ASSERT_EQ(session.run(source, *donor, 4500), 4500u) << name;
+        auto cold = makePredictor(name);
+        ReplayRow late;
+        late.restart(100);
+        EXPECT_DEATH(late.addColumn(*cold, session),
+                     "ahead of a row that does not start at record 0")
+            << name;
+#ifdef IBP_CHECKED_TABLES
+        const auto &records = sharedTrace().records();
+        ReplayRow row;
+        row.addColumn(*cold, session);
+        EXPECT_DEATH(row.feed(records.data(), records.size()),
+                     "differ from its row's history lane")
+            << name;
+#endif
+    }
 #ifndef IBP_CHECKED_TABLES
     GTEST_SKIP() << "the lane join check is compiled into checked "
                     "builds only";
-#else
-    ReplayRow row;
-    row.addColumn(*cold, session);
-    EXPECT_DEATH(row.feed(records.data(), records.size()),
-                 "differ from its row's history lane");
 #endif
 }
 
