@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks: lookup/update throughput of every
  * predictor, the fig6 and fig7 lineups replayed as one suite row (with
- * the plan pass and each column timed on their own), and the cost of
+ * the plan pass and each column timed on their own), one-column rows
+ * of the costliest columns on two suite rows, and the cost of
  * the shared primitives (SFSXS hashing, trace generation, trace
  * codecs).  These are engineering numbers for
  * users embedding the library, not paper results.
@@ -10,6 +11,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -54,29 +57,42 @@ predictorThroughput(benchmark::State &state, const char *name)
     state.SetItemsProcessed(static_cast<int64_t>(branches));
 }
 
-/** The standard suite's first row (perl), cut to 200k records. */
+/** A 200k-record prefix of the standard suite's row @p profile
+ *  ("perl", "edg.pic", ...), generated once per profile. */
 const ibp::trace::TraceBuffer &
-suiteTrace()
+suiteTrace(std::string_view profile)
 {
-    static const ibp::trace::TraceBuffer trace = [] {
-        auto profile = ibp::workload::standardSuite().front();
-        profile.records = 200'000;
-        return ibp::sim::generateTrace(profile);
-    }();
-    return trace;
+    static std::map<std::string, ibp::trace::TraceBuffer, std::less<>>
+        traces;
+    auto it = traces.find(profile);
+    if (it == traces.end()) {
+        const auto suite = ibp::workload::standardSuite();
+        const ibp::workload::BenchmarkProfile *found =
+            ibp::workload::findProfile(suite, profile);
+        if (found == nullptr)
+            std::abort();
+        ibp::workload::BenchmarkProfile prefix = *found;
+        prefix.records = 200'000;
+        it = traces.emplace(std::string(profile),
+                            ibp::sim::generateTrace(prefix))
+                 .first;
+    }
+    return it->second;
 }
 
 /**
  * A suite row: @p names replayed as the columns of one timed ReplayRow
- * over the suite trace, one plan per chunk, as runSuite() replays a
- * row.  Fresh predictors per iteration, built outside the timing.  The
- * counters split the row's time per record into the plan pass (RAS,
- * classification and history lanes) and each column's replay.
+ * over the suite trace @p profile, one plan per chunk, as runSuite()
+ * replays a row.  Fresh predictors per iteration, built outside the
+ * timing.  The counters split the row's time per record into the plan
+ * pass (RAS, classification and history lanes) and each column's
+ * replay.
  */
 void
-lineupRow(benchmark::State &state, const std::vector<std::string> &names)
+lineupRow(benchmark::State &state, const std::vector<std::string> &names,
+          const char *profile)
 {
-    const ibp::trace::TraceBuffer &trace = suiteTrace();
+    const ibp::trace::TraceBuffer &trace = suiteTrace(profile);
     double plan = 0;
     std::vector<double> columns(names.size());
     for (auto _ : state) {
@@ -108,11 +124,26 @@ lineupRow(benchmark::State &state, const std::vector<std::string> &names)
 
 } // namespace
 
-BENCHMARK_CAPTURE(lineupRow, fig6, ibp::sim::figure6Predictors())
+BENCHMARK_CAPTURE(lineupRow, fig6, ibp::sim::figure6Predictors(), "perl")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(lineupRow, fig7, ibp::sim::figure7Predictors())
+BENCHMARK_CAPTURE(lineupRow, fig7, ibp::sim::figure7Predictors(), "perl")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(lineupRow, all, ibp::sim::allPredictors())
+BENCHMARK_CAPTURE(lineupRow, all, ibp::sim::allPredictors(), "perl")
+    ->Unit(benchmark::kMillisecond);
+// One-column rows of the costliest columns, on perl and on edg.pic (a
+// PIB-dominant row whose deep site only long histories resolve): each
+// column's cost per record without the rest of the lineup around it.
+BENCHMARK_CAPTURE(lineupRow, ITTAGE_perl,
+                  std::vector<std::string>{"ITTAGE"}, "perl")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(lineupRow, ITTAGE_edg_pic,
+                  std::vector<std::string>{"ITTAGE"}, "edg.pic")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(lineupRow, Perceptron_perl,
+                  std::vector<std::string>{"Perceptron"}, "perl")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(lineupRow, Perceptron_edg_pic,
+                  std::vector<std::string>{"Perceptron"}, "edg.pic")
     ->Unit(benchmark::kMillisecond);
 
 #define PREDICTOR_BENCH(tag, name)                                     \
@@ -131,6 +162,8 @@ PREDICTOR_BENCH(Cascade, "Cascade");
 PREDICTOR_BENCH(PpmHyb, "PPM-hyb");
 PREDICTOR_BENCH(PpmPib, "PPM-PIB");
 PREDICTOR_BENCH(FilteredPpm, "Filtered-PPM");
+PREDICTOR_BENCH(Ittage, "ITTAGE");
+PREDICTOR_BENCH(Perceptron, "Perceptron");
 
 // --- AssocTable (SoA arena) primitives --------------------------------
 // The tagged-table layout is the hot data structure under Dpath,

@@ -24,6 +24,7 @@
 #ifndef IBP_PREDICTORS_PERCEPTRON_INDIRECT_HH_
 #define IBP_PREDICTORS_PERCEPTRON_INDIRECT_HH_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -61,10 +62,19 @@ struct PerceptronIndirectConfig
  * of the candidate target, so one scoring pass hashes each table once
  * and each candidate once; training reuses the chosen candidate's
  * fold and score instead of rehashing them.
+ *
+ * The geometry is resolved at construction: each table's history
+ * segment (shift and mask) and salt sit in one array, and the weights
+ * in one flat table-major arena, so a weight's line is the table's
+ * hash XOR-ed with the target fold and reduced once.
  */
 class PerceptronIndirect final : public IndirectPredictor
 {
   public:
+    /** Upper bound on weight tables: a scoring pass keeps every
+     *  table's key in a fixed array, so no scoring allocates. */
+    static constexpr std::size_t kMaxTables = 16;
+
     explicit PerceptronIndirect(const PerceptronIndirectConfig &config,
                                 std::string name = "Perceptron");
 
@@ -117,6 +127,26 @@ class PerceptronIndirect final : public IndirectPredictor
     int maxWeight() const { return maxWeight_; }
 
   private:
+    /** One table's feature: which segment of its register (PIB for
+     *  the first half of the tables, PB for the rest) its hash reads. */
+    struct Feature
+    {
+        unsigned shift;          ///< the segment's lowest bit
+        std::uint64_t mask;      ///< the segment's width
+        std::uint64_t salt;      ///< per-table constant
+        std::uint64_t firstLine; ///< the table's first arena line
+    };
+
+    /** Feature @p feature's hash of the pc bits @p addr and the
+     *  register value @p history. */
+    static std::uint64_t
+    featureHash(const Feature &feature, std::uint64_t addr,
+                std::uint64_t history)
+    {
+        return addr ^ (((history >> feature.shift) & feature.mask) << 1) ^
+               feature.salt;
+    }
+
     /** What one scoring pass over a pc's candidate set resolves. */
     struct Scoring
     {
@@ -124,6 +154,9 @@ class PerceptronIndirect final : public IndirectPredictor
         Prediction prediction;   ///< best candidate (invalid: none)
         int score = 0;           ///< the best candidate's sum
         std::uint64_t fold = 0;  ///< the best candidate's target fold
+        std::size_t way = util::Slot::kNoWay; ///< the best candidate's way
+        /** Every table's key (see keyOf()); [0, numTables) written. */
+        std::array<std::uint64_t, kMaxTables> keys;
     };
 
     std::uint64_t candidateSet(trace::Addr pc) const;
@@ -140,30 +173,46 @@ class PerceptronIndirect final : public IndirectPredictor
                             const PathWords &words) const;
     /** The candidate-target part of every feature hash. */
     static std::uint64_t targetFold(trace::Addr target);
+    /** What a scoring pass keeps of table @p table's hash: on a
+     *  power-of-two geometry the table's first line ORed with the
+     *  masked hash, otherwise the hash itself. */
+    std::uint64_t keyOf(std::size_t table, std::uint64_t hash) const;
+    /** The arena line of table @p table's weight for a target with
+     *  fold @p fold, given the table's key. */
+    std::size_t
+    lineOf(std::size_t table, std::uint64_t key, std::uint64_t fold) const
+    {
+        return rowMask_ ? key ^ (fold & rowMask_)
+                        : table * rows_ +
+                              util::reduceIndex(key ^ fold, rows_, rowMask_);
+    }
 
     /** The one scoring routine behind predict(), update() and
-     *  predictAndUpdate(); leaves each table's hash in tableHashes_. */
-    Scoring scoreCandidates(trace::Addr pc, const PathWords &words);
+     *  predictAndUpdate(); keeps each table's key in the result. */
+    Scoring scoreCandidates(trace::Addr pc, const PathWords &words) const;
     /** The one training routine behind update() and
-     *  predictAndUpdate(), on the hashes @p scoring left behind. */
+     *  predictAndUpdate(), on the keys @p scoring holds. */
     void train(const Scoring &scoring, trace::Addr target);
     /** Sum of the weights a target with fold @p fold selects. */
-    int weightSum(std::uint64_t fold) const;
-    void adjustWeights(std::uint64_t fold, int delta);
+    int weightSum(const Scoring &scoring, std::uint64_t fold) const;
 
     PerceptronIndirectConfig config_;
     std::string name_;
     int maxWeight_;
-    std::size_t half_;            ///< PIB tables; the rest read PB
-    unsigned pibSegmentBits_ = 0; ///< history bits per PIB feature
-    unsigned pbSegmentBits_ = 0;  ///< history bits per PB feature
     ShiftHistory pibHistory_;
     ShiftHistory pbHistory_;
     util::AssocTable<TargetEntry> candidates_;
-    std::vector<util::DirectTable<std::int8_t>> weights_;
-    /** Scratch, not predictor state: tableHash() of every table for
-     *  the branch being scored (sized once, never saved). */
-    std::vector<std::uint64_t> tableHashes_;
+    /** Weight tables, and how many of them (the first) read PIB. */
+    std::size_t tables_;
+    std::size_t pibTables_;
+    /** Every table's feature, PIB tables first. */
+    std::vector<Feature> features_;
+    /** Rows per table, and the mask that reduces a hash to one (0:
+     *  the row count is not a power of two, reduce by modulo). */
+    std::size_t rows_;
+    std::uint64_t rowMask_;
+    /** The weights, table-major: line = table * rows_ + row. */
+    std::vector<std::int8_t> weights_;
     util::Counter weightUpdates_;
 };
 

@@ -149,14 +149,30 @@ isPowerOf2(std::uint64_t value)
  * powers of two, so callers switching to this helper change no
  * simulated number.  This is the sanctioned reduction for indexing off
  * counts that have no Table object (ibp_lint rule table-modulo bans
- * raw `%` indexing in the predictor layers); tables precompute the
- * mask in their own reduce() instead.
+ * raw `%` indexing in the predictor layers).  @p mask is
+ * indexMask(count), precomputed by callers that reduce over one count.
  */
+constexpr std::uint64_t
+reduceIndex(std::uint64_t hash, std::uint64_t count, std::uint64_t mask)
+{
+    // ibp-lint: allow(table-modulo) -- this is the sanctioned fallback
+    return mask ? (hash & mask) : (hash % count);
+}
+
+/** The mask reduceIndex() takes for @p count: count - 1 on a power of
+ *  two, 0 (reduce by modulo) otherwise.  Tables and kernels that reduce
+ *  many hashes over one fixed count compute it once. */
+constexpr std::uint64_t
+indexMask(std::uint64_t count)
+{
+    return isPowerOf2(count) ? count - 1 : 0;
+}
+
+/** reduceIndex() for a one-off count. */
 constexpr std::uint64_t
 reduceIndex(std::uint64_t hash, std::uint64_t count)
 {
-    // ibp-lint: allow(table-modulo) -- this is the sanctioned fallback
-    return isPowerOf2(count) ? (hash & (count - 1)) : (hash % count);
+    return reduceIndex(hash, count, indexMask(count));
 }
 
 /**

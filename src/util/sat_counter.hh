@@ -90,15 +90,19 @@ class SatCounter
     bool operator==(const SatCounter &other) const = default;
 
   private:
-    // Narrow members, chosen to keep the whole counter in 4 bytes:
-    // counters sit inside every table entry of every predictor, so
-    // each byte here is a byte per entry of hot replay footprint
-    // (TargetEntry dropped 32 -> 16 bytes when these stopped being
-    // three `unsigned`s).  bits <= 16 bounds both fields.
+    // Narrow members, chosen to keep the whole counter in 6 bytes (a
+    // byte of width, a pad byte, then two 2-byte fields): counters sit
+    // inside every table entry of every predictor, so each byte here
+    // is a byte per entry of hot replay footprint (TargetEntry dropped
+    // 32 -> 16 bytes when these stopped being three `unsigned`s).
+    // bits <= 16 bounds both fields.
     std::uint8_t numBits;
     std::uint16_t maxValue;
     std::uint16_t count;
 };
+
+static_assert(sizeof(SatCounter) == 6,
+              "SatCounter's size is table-entry footprint");
 
 } // namespace ibp::util
 

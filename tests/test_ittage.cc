@@ -119,8 +119,7 @@ TEST(Ittage, FoldedHistoryCancelsOutgoingSymbolsExactly)
     // hundreds of symbols scroll past.  Exact cancellation is what
     // makes the O(1) push correct.
     const unsigned width = 7, length = 6, symbol_bits = 4;
-    FoldedHistory longLived(width, length, symbol_bits);
-    std::deque<std::uint32_t> window(length, 0);
+    FoldBank longLived({length}, {width, width - 1, 2}, symbol_bits);
 
     std::uint32_t lcg = 12345;
     std::vector<std::uint32_t> symbols;
@@ -128,32 +127,41 @@ TEST(Ittage, FoldedHistoryCancelsOutgoingSymbolsExactly)
         lcg = lcg * 1664525u + 1013904223u;
         symbols.push_back(lcg >> 16 & 0xF);
     }
-    for (const std::uint32_t symbol : symbols) {
-        longLived.push(symbol, window.back());
-        window.pop_back();
-        window.push_front(symbol);
-    }
+    for (const std::uint32_t symbol : symbols)
+        longLived.push(symbol);
 
-    FoldedHistory fresh(width, length, symbol_bits);
-    std::deque<std::uint32_t> freshWindow(length, 0);
+    FoldBank fresh({length}, {width, width - 1, 2}, symbol_bits);
     for (std::size_t i = symbols.size() - length; i < symbols.size();
-         ++i) {
-        fresh.push(symbols[i], freshWindow.back());
-        freshWindow.pop_back();
-        freshWindow.push_front(symbols[i]);
-    }
-    EXPECT_EQ(fresh.value(), longLived.value())
-        << "outgoing-symbol cancellation drifted";
-    EXPECT_EQ(longLived.value() & ~ibp::util::maskLow(width), 0u);
+         ++i)
+        fresh.push(symbols[i]);
+    for (std::size_t kind = 0; kind < FoldBank::kKinds; ++kind)
+        EXPECT_EQ(fresh.value(0, kind), longLived.value(0, kind))
+            << "outgoing-symbol cancellation drifted, kind " << kind;
+    EXPECT_EQ(longLived.value(0, 0) & ~ibp::util::maskLow(width), 0u);
+}
+
+/** The definition a fold must equal: the XOR over the newest
+ *  @p length symbols of @p window of rotateLeft(symbol, symbolBits *
+ *  age), age 0 the newest. */
+std::uint64_t
+rotatedWindow(const std::deque<std::uint32_t> &window, unsigned width,
+              unsigned length, unsigned symbol_bits)
+{
+    std::uint64_t folded = 0;
+    for (unsigned age = 0; age < length; ++age)
+        folded ^= ibp::util::rotateLeft(window[age], width,
+                                        symbol_bits * age);
+    return folded;
 }
 
 TEST(Ittage, FoldedHistoryMatchesTheRotatedWindowDefinition)
 {
-    // The one-word CSR push must equal the definition: the XOR over
-    // the window of rotateLeft(symbol, symbolBits * age), age 0 the
-    // newest.  Geometries cover a symbol wider than the register, a
-    // whole-multiple rotation (amount reduces to 0), odd widths, the
-    // 32-bit maximum and a one-symbol window.
+    // The one-word CSR push must equal the definition.  Geometries
+    // cover a symbol wider than the register, a whole-multiple
+    // rotation (amount reduces to 0), odd widths, the 32-bit maximum
+    // and a one-symbol window, each as every kind of a one-window
+    // bank and then as one kind of windows 3, length and 70 long (the
+    // ring is as long as the longest window).
     struct Geometry
     {
         unsigned width, length, symbolBits;
@@ -163,24 +171,92 @@ TEST(Ittage, FoldedHistoryMatchesTheRotatedWindowDefinition)
         {12, 16, 3}, {32, 9, 31}, {5, 1, 2},
     };
     for (const Geometry &g : geometries) {
-        FoldedHistory fold(g.width, g.length, g.symbolBits);
-        std::deque<std::uint32_t> window(g.length, 0);
+        FoldBank fold({g.length}, {g.width, g.width, g.width},
+                      g.symbolBits);
+        FoldBank shared({3, g.length, 70}, {2, g.width, 7}, g.symbolBits);
+        std::deque<std::uint32_t> window(70, 0);
         std::uint32_t lcg = 77;
         for (int i = 0; i < 500; ++i) {
             lcg = lcg * 1664525u + 1013904223u;
             const std::uint32_t symbol = static_cast<std::uint32_t>(
                 ibp::util::selectLow(lcg >> 3, g.symbolBits));
-            fold.push(symbol, window.back());
+            fold.push(symbol);
+            shared.push(symbol);
             window.pop_back();
             window.push_front(symbol);
 
-            std::uint64_t expected = 0;
-            for (unsigned age = 0; age < g.length; ++age)
-                expected ^= ibp::util::rotateLeft(window[age], g.width,
-                                                  g.symbolBits * age);
-            ASSERT_EQ(fold.value(), expected)
-                << "width " << g.width << " length " << g.length
-                << " symbol bits " << g.symbolBits << " push " << i;
+            const std::uint64_t expected =
+                rotatedWindow(window, g.width, g.length, g.symbolBits);
+            for (std::size_t kind = 0; kind < FoldBank::kKinds; ++kind)
+                ASSERT_EQ(fold.value(0, kind), expected)
+                    << "width " << g.width << " length " << g.length
+                    << " symbol bits " << g.symbolBits << " push " << i;
+            for (std::size_t w = 0; w < shared.windows(); ++w) {
+                const unsigned length = w == 0   ? 3
+                                        : w == 1 ? g.length
+                                                 : 70;
+                for (std::size_t kind = 0; kind < FoldBank::kKinds;
+                     ++kind)
+                    ASSERT_EQ(shared.value(w, kind),
+                              rotatedWindow(window, shared.width(kind),
+                                            length, g.symbolBits))
+                        << "window " << w << " kind " << kind
+                        << " beside other folds, push " << i;
+            }
+            ASSERT_EQ(fold.symbol(g.length - 1), window[g.length - 1]);
+        }
+    }
+}
+
+TEST(Ittage, FoldBankMatchesTheRotatedWindowAtPredictorGeometries)
+{
+    // The predictor's own folds, at the factory geometry (6
+    // components, histories 2..64) and at smallConfig(): drive the
+    // predictor's history with observed branches and check every
+    // component's index fold and combined tag folds, through
+    // indexFor()/tagFor() at pc 0 (the pc terms vanish there), and a
+    // standalone bank of the same folds value by value.
+    for (const IttageConfig &config : {IttageConfig{}, smallConfig()}) {
+        Ittage ittage(config);
+        const std::vector<unsigned> &lengths = ittage.historyLengths();
+        const unsigned index_bits =
+            ibp::util::log2Ceil(config.entriesPerComponent);
+        ASSERT_EQ(std::size_t{1} << index_bits,
+                  config.entriesPerComponent);
+        FoldBank bank(lengths,
+                      {index_bits, config.tagBits, config.tagBits - 1},
+                      config.bitsPerTarget);
+        std::deque<std::uint32_t> window(lengths.back(), 0);
+
+        std::uint32_t lcg = 31;
+        for (int i = 0; i < 400; ++i) {
+            lcg = lcg * 1664525u + 1013904223u;
+            const BranchRecord record =
+                mtJmp(0x120000000 + (lcg >> 24 & 0xFC),
+                      0x120000000 + (lcg >> 8 & 0xFFFC));
+            ittage.observe(record);
+            const auto symbol = static_cast<std::uint32_t>(
+                pathSymbol(record, config.bitsPerTarget));
+            bank.push(symbol);
+            window.pop_back();
+            window.push_front(symbol);
+
+            for (std::size_t c = 0; c < lengths.size(); ++c) {
+                const unsigned bits = config.bitsPerTarget;
+                const std::uint64_t index =
+                    rotatedWindow(window, index_bits, lengths[c], bits);
+                const std::uint64_t tag_a = rotatedWindow(
+                    window, config.tagBits, lengths[c], bits);
+                const std::uint64_t tag_b = rotatedWindow(
+                    window, config.tagBits - 1, lengths[c], bits);
+                ASSERT_EQ(bank.value(c, 0), index);
+                ASSERT_EQ(bank.value(c, 1), tag_a);
+                ASSERT_EQ(bank.value(c, 2), tag_b);
+                ASSERT_EQ(ittage.indexFor(c, 0), index)
+                    << "component " << c << " push " << i;
+                ASSERT_EQ(ittage.tagFor(c, 0), tag_a ^ (tag_b << 1))
+                    << "component " << c << " push " << i;
+            }
         }
     }
 }
@@ -402,6 +478,61 @@ TEST(Ittage, LoadStateRejectsComponentCountMismatch)
     ibp::util::StateReader reader(writer.bytes());
     other.loadState(reader);
     EXPECT_FALSE(reader.ok());
+}
+
+TEST(Ittage, LoadStateRejectsLinesThePredictorCannotReach)
+{
+    // The key plane holds a valid line's tag and one impossible key
+    // for every empty line, so only reachable lines load: an empty
+    // line is all zeros and a valid tag fits tagBits.  Hand-built
+    // blobs for one component of smallConfig(), every line empty but
+    // line 0.
+    IttageConfig config = smallConfig();
+    config.numComponents = 1;
+    const Ittage cold(config);
+    const auto blob = [&](const IttageEntry &line0) {
+        ibp::util::StateWriter writer;
+        const unsigned length = cold.historyLengths().back();
+        writer.writeVarint(length);
+        for (unsigned i = 0; i < length; ++i)
+            writer.writeU32(0);
+        writer.writeVarint(0);
+        writer.writeVarint(config.baseEntries);
+        for (std::size_t i = 0; i < config.baseEntries; ++i)
+            saveTargetEntry(writer, TargetEntry{});
+        writer.writeVarint(1);
+        writer.writeVarint(config.entriesPerComponent);
+        saveIttageEntry(writer, line0);
+        for (std::size_t i = 1; i < config.entriesPerComponent; ++i)
+            saveIttageEntry(writer, IttageEntry{});
+        for (int fold = 0; fold < 3; ++fold)
+            writer.writeU64(0);
+        return writer.bytes();
+    };
+    const auto loads = [&](const IttageEntry &line0) {
+        Ittage other(config);
+        const std::vector<std::uint8_t> bytes = blob(line0);
+        ibp::util::StateReader reader(bytes);
+        other.loadState(reader);
+        return reader.ok() && stateBytes(other) == bytes;
+    };
+
+    EXPECT_EQ(blob(IttageEntry{}), stateBytes(cold)) << "layout drifted";
+    IttageEntry line;
+    EXPECT_TRUE(loads(line));
+    line.valid = true;
+    line.tag = (1u << config.tagBits) - 1;
+    line.target = 0x120001000;
+    line.useful.set(3);
+    EXPECT_TRUE(loads(line));
+    line.tag = 1u << config.tagBits; // wider than any computed tag
+    EXPECT_FALSE(loads(line));
+    IttageEntry stale;
+    stale.tag = 0x5;                 // an empty line holding a tag
+    EXPECT_FALSE(loads(stale));
+    stale = IttageEntry{};
+    stale.target = 0x120001000;      // or a target
+    EXPECT_FALSE(loads(stale));
 }
 
 TEST(Ittage, EntryCodecRejectsOutOfRangeCounters)

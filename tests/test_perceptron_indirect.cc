@@ -393,6 +393,42 @@ TEST(PerceptronIndirect, LoadStateRejectsOutOfRangeWeight)
     EXPECT_FALSE(reader.ok());
 }
 
+TEST(PerceptronIndirect, LoadStateRejectsACandidateCacheTrainingCannotReach)
+{
+    // Training revisits a correct prediction's way without rescanning
+    // its set, which is exact because every live line is a valid
+    // candidate found under the tag of its own target.  A checkpoint
+    // breaking either half must not load.  smallConfig()'s blob: two
+    // 8-byte registers, then the cache's header (two one-byte varints
+    // and the 8-byte clock) and 4 x 2 lines of valid byte, tag, LRU
+    // stamp and TargetEntry (valid byte, target, counter): 27 bytes.
+    const PerceptronIndirectConfig config = smallConfig();
+    PerceptronIndirect p(config);
+    p.update(0x120000040, 0x120001000);
+    const std::vector<std::uint8_t> saved = stateBytes(p);
+    const std::size_t first = 8 + 8 + 1 + 1 + 8, stride = 27;
+    std::size_t live = 0;
+    for (std::size_t line = 0; line < 8; ++line)
+        if (saved[first + line * stride] == 1)
+            live = first + line * stride;
+    ASSERT_NE(live, 0u) << "no live candidate line";
+    ASSERT_EQ(saved[live + 17], 1u) << "layout drifted";
+
+    const auto loads = [&](const std::vector<std::uint8_t> &bytes) {
+        PerceptronIndirect other(config);
+        ibp::util::StateReader reader(bytes);
+        other.loadState(reader);
+        return reader.ok();
+    };
+    EXPECT_TRUE(loads(saved));
+    std::vector<std::uint8_t> foreign = saved;
+    foreign[live + 1] ^= 1; // the line's tag no longer its target's
+    EXPECT_FALSE(loads(foreign));
+    std::vector<std::uint8_t> dead = saved;
+    dead[live + 17] = 0; // live in the cache, yet no candidate
+    EXPECT_FALSE(loads(dead));
+}
+
 TEST(PerceptronIndirect, StorageBitsMatchesTheFormula)
 {
     const PerceptronIndirectConfig config = smallConfig();

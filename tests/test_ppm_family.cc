@@ -87,8 +87,9 @@ TEST(PpmFamily, StateAndMissesArePinned)
     };
     // The PPM rows were captured before the stack's observe() and order
     // walk were specialised, the Cascade, Dpath and Perceptron rows
-    // before their tables moved onto AssocTable's slot protocol; a
-    // change here is a behaviour change, not a refactor.
+    // before their tables moved onto AssocTable's slot protocol, the
+    // ITTAGE rows before its folds and components moved into flat
+    // arrays; a change here is a behaviour change, not a refactor.
     const Pin pins[] = {
         {"PPM-hyb", "perl", {0x9669b71079d0e6eULL, 5155, 2}},
         {"PPM-hyb", "gcc", {0x14639cd8e5749dcdULL, 5665, 2}},
@@ -114,6 +115,8 @@ TEST(PpmFamily, StateAndMissesArePinned)
         {"Dpath", "gcc", {0xa6722579c14072bfULL, 4455, 63}},
         {"Perceptron", "perl", {0x996d160615919e98ULL, 2947, 28}},
         {"Perceptron", "gcc", {0xc1f126cd1beec7eULL, 3273, 34}},
+        {"ITTAGE", "perl", {0xd78f16d9a571f1b9ULL, 2734, 29}},
+        {"ITTAGE", "gcc", {0x5acf28c5a6acfca4ULL, 3934, 35}},
     };
 
     const std::vector<trace::BranchRecord> perl = prefix("perl", 200'000);

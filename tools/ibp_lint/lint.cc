@@ -1017,7 +1017,7 @@ class Linter
     {
         static const std::set<std::string> markers = {
             "DirectTable",   "AssocTable",    "FlatMap",
-            "ShiftHistory",  "SymbolHistory", "FoldedHistory",
+            "ShiftHistory",  "SymbolHistory", "FoldBank",
             "SfsxsWord",     "SfsxsHistory",  "TargetEntry",
             "array",
         };
